@@ -43,12 +43,7 @@ from .lattice import (
     standard_representation,
     sub,
 )
-from .oracle import (
-    frobenius_number_dp,
-    numerical_gaps_dp,
-    verify_conductor,
-    verify_theorem1,
-)
+from .oracle import verify_conductor, verify_theorem1
 from .semigroup import (
     ConditionReport,
     membership_bruteforce,
@@ -80,6 +75,19 @@ def _parse_int(value) -> int:
     if isinstance(value, str):
         return int(value.strip(), 10)
     raise ValueError(f"cannot read integer from {value!r}")
+
+
+def _nonnegative_int(text: str) -> int:
+    """Argument type of ``--budget`` and ``--margin``."""
+    try:
+        value = int(text, 10)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return value
 
 
 def _parse_vector(value) -> Vector:
@@ -288,14 +296,11 @@ def _analysis_document(
         document["gaps"] = _sv(gap_list)
         document["gap_count"] = _s(len(gap_list))
         if frobenius_report.threshold_only:
-            document["true_frobenius_number"] = _s(
-                frobenius_number_dp([v[0] for v in system.generators])
-            )
-            # The sieve pins the exact conductor even when the closed form
-            # only gives a threshold.
-            document["conductor"] = [
-                _sv((max(gap_list) + 1,) if gap_list else (0,))
-            ]
+            # The gap list pins the exact Frobenius number and conductor
+            # even when the closed form only gives a threshold.
+            frobenius_number = gap_list[-1] if gap_list else -1
+            document["true_frobenius_number"] = _s(frobenius_number)
+            document["conductor"] = [_sv((frobenius_number + 1,))]
     return document
 
 
@@ -488,11 +493,10 @@ def cmd_curve(args) -> int:
         n = _parse_int(args.values[0])
         m = [_parse_int(x) for x in args.values[1:]]
     data = curve_semigroup(CurveExponents(n, tuple(m)))
-    gap_list = (
-        numerical_gaps_dp(data.generators)
-        if data.conductor <= GAP_SIEVE_LIMIT
-        else None
-    )
+    gap_list = None
+    if data.conductor <= GAP_SIEVE_LIMIT:
+        system = GeneratorSystem(1, tuple((x,) for x in data.generators))
+        gap_list = gaps(system, build_chain(system))
     document = {
         "input": {"n": _s(n), "m": _sv(m)},
         "generators": _sv(data.generators),
@@ -621,7 +625,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_nonnegative_int,
         default=10**7,
         help="node budget for bounded searches",
     )
@@ -672,7 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="finite-box verification sweeps")
     p.add_argument("generators", nargs="*")
-    p.add_argument("--margin", type=int, default=3, help="box size multiplier")
+    p.add_argument(
+        "--margin", type=_nonnegative_int, default=3, help="box size multiplier"
+    )
     _add_common(p)
     p.set_defaults(handler=cmd_verify)
 

@@ -27,7 +27,6 @@ from .exactlinalg import (
     as_vector,
     cramer_numerators,
     determinant,
-    gcd_maximal_minors,
     lattice_basis,
     solve_lower_triangular,
 )
@@ -278,13 +277,46 @@ def sylvester_number(v1: int, v2: int) -> int:
     return (v1 - 1) * (v2 - 1) - 1
 
 
+def apery_set(values: Sequence[int]) -> tuple[Optional[int], ...]:
+    """Apery set of the semigroup generated by ``values`` modulo their minimum.
+
+    Entry r is the smallest member congruent to r modulo a = min(values), or
+    None when the semigroup meets no integer of that class (possible only
+    when the values share a common factor).  An integer n is a member exactly
+    when ``apery_set(values)[n % a]`` is at most n.  Computed by the
+    round-robin shortest-path pass of Boecker and Liptak ("A fast and simple
+    algorithm for the money changing problem", Algorithmica 2007): each
+    further generator b walks the gcd(a, b) cycles of x -> x + b mod a once,
+    starting from the smallest entry of its cycle, so the table costs
+    O(len(values) * a) exact integer steps.
+    """
+    values = [as_int(v) for v in values]
+    if not values or any(v < 1 for v in values):
+        raise ValueError("apery_set needs at least one positive integer")
+    a = min(values)
+    table: list[Optional[int]] = [None] * a
+    table[0] = 0
+    for b in set(values):
+        d = math.gcd(a, b)
+        for start in range(d):
+            n = min((t for t in table[start::d] if t is not None), default=None)
+            if n is None:
+                continue
+            for _ in range(a // d - 1):
+                n += b
+                r = n % a
+                if table[r] is not None and table[r] < n:
+                    n = table[r]
+                else:
+                    table[r] = n
+    return tuple(table)
+
+
 def gaps(system: GeneratorSystem, chain: LatticeChain) -> tuple[int, ...]:
     """All positive integers missing from a numerical semigroup (dim 1).
 
-    When both chain conditions hold the closed form bounds the sieve (the
-    conductor is the Frobenius number plus one); otherwise the sieve extends
-    itself until a run of min(generators) consecutive representable numbers
-    proves that no further gap exists.
+    Read off the Apery set modulo a = min(generators): the gaps congruent to
+    r are r, r + a, ... below the class's Apery element.
     """
     if system.ambient_dim != 1:
         raise ValueError("gaps are only defined for subsemigroups of N")
@@ -292,42 +324,11 @@ def gaps(system: GeneratorSystem, chain: LatticeChain) -> tuple[int, ...]:
         raise ValueError(
             f"gap set is infinite: gcd of the generators is {chain.minor_gcds[-1]}"
         )
-    values = [v[0] for v in system.generators]
-    if chain.conditions is not None and chain.conditions.all_hold:
-        bound = frobenius_formula(system, chain)[0] + 1
-        if bound <= 0:
-            return ()
-        table = _reachable_table(values, bound - 1)
-        return tuple(n for n in range(1, bound) if not table[n])
-    return tuple(_sieve_gaps(values))
-
-
-def _reachable_table(values: Sequence[int], limit: int) -> bytearray:
-    table = bytearray(limit + 1)
-    table[0] = 1
-    for n in range(1, limit + 1):
-        for v in values:
-            if v <= n and table[n - v]:
-                table[n] = 1
-                break
-    return table
-
-
-def _sieve_gaps(values: Sequence[int]) -> list[int]:
-    """Gap list via a self-extending sieve with run detection."""
-    smallest = min(values)
-    if smallest == 1:
-        return []
-    limit = max(values) * smallest + 1
-    while True:
-        table = _reachable_table(values, limit)
-        run = 0
-        for n in range(limit + 1):
-            run = run + 1 if table[n] else 0
-            if run == smallest:
-                first_safe = n - smallest + 1
-                return [m for m in range(1, first_safe) if not table[m]]
-        limit *= 2
+    table = apery_set([v[0] for v in system.generators])
+    a = len(table)
+    return tuple(sorted(
+        itertools.chain.from_iterable(range(r, table[r], a) for r in range(1, a))
+    ))
 
 
 def diophantine_solve(
@@ -350,8 +351,7 @@ def diophantine_solve(
         raise ValueError("target must have nonnegative coordinates")
     chain = build_chain(system)
     conditions = validate_conditions(system, chain, budget)
-    extended = chain.bases[-1].with_column(goal)
-    if gcd_maximal_minors(extended) != chain.minor_gcds[-1]:
+    if not chain.contains(goal, chain.level_count):
         return DiophantineAnswer(LATTICE_INFEASIBLE)
     if conditions.all_hold:
         g = frobenius_formula(system, chain)

@@ -199,13 +199,10 @@ def build_chain(system: GeneratorSystem) -> LatticeChain:
 def group_membership(chain: LatticeChain, vector: Sequence[int], level: int) -> bool:
     """Whether ``vector`` lies in the level-``level`` group.
 
-    Decided by comparing the gcd of maximal minors of the basis extended by
-    ``vector`` against the covolume of the group: the vector is a member
-    exactly when adjoining it does not shrink the covolume.
+    Decided by forward substitution against the level's Hermite basis.
     """
     _check_level(chain, level)
-    extended = chain.bases[level].with_column(as_vector(vector))
-    return gcd_maximal_minors(extended) == chain.minor_gcds[level]
+    return chain.contains(vector, level)
 
 
 def multiple_order(chain: LatticeChain, vector: Sequence[int], level: int) -> int:

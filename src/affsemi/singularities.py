@@ -21,11 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidExponentsError, SearchBudgetExceededError
+from .errors import InvalidExponentsError
 from .exactlinalg import IntMatrix, Vector, as_int, as_vector, gcd_maximal_minors
-from .frobenius import FrobeniusReport, frobenius_vector
+from .frobenius import FrobeniusReport, apery_set, frobenius_vector
 from .lattice import GeneratorSystem, LatticeChain, build_chain, scale
-from .semigroup import ConditionReport, membership_bruteforce, validate_conditions
+from .semigroup import ConditionReport, validate_conditions
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def curve_semigroup(exponents: CurveExponents) -> CurveSemigroupData:
     The conductor is sum (index_k - 1) * r_k - r_0 + 1; it equals the Milnor
     number, and exactly half of the integers below it are gaps.  Each scaled
     generator index_k * r_k is re-checked to be representable over its
-    predecessors; valid exponent data always passes.
+    predecessors, through their Apery set; valid exponent data always passes.
     """
     n = exponents.multiplicity
     m = exponents.exponents
@@ -107,17 +107,9 @@ def curve_semigroup(exponents: CurveExponents) -> CurveSemigroupData:
         raise AssertionError("the conductor of a branch semigroup is even")
     for k in range(1, len(r)):
         target = indices[k - 1] * r[k]
-        try:
-            representable = (
-                membership_bruteforce(
-                    [(x,) for x in r[:k]], (target,), budget=200_000
-                )
-                is not None
-            )
-        except SearchBudgetExceededError:
-            # Same predicate, linear cost: reachability sieve up to the target.
-            representable = bool(_reachable(r[:k], target))
-        if not representable:
+        table = apery_set(r[:k])
+        floor = table[target % len(table)]
+        if floor is None or floor > target:
             raise InvalidExponentsError(
                 f"scaled generator {indices[k - 1]}*{r[k]} is not representable "
                 "over its predecessors; exponent data is inconsistent"
@@ -130,20 +122,6 @@ def curve_semigroup(exponents: CurveExponents) -> CurveSemigroupData:
         milnor=conductor,
         gap_count=conductor // 2,
     )
-
-
-def _reachable(values: Sequence[int], target: int) -> bool:
-    """Whether ``target`` is a nonnegative combination of ``values``."""
-    if target < 0:
-        return False
-    table = bytearray(target + 1)
-    table[0] = 1
-    for n in range(min(values), target + 1):
-        for v in values:
-            if v <= n and table[n - v]:
-                table[n] = 1
-                break
-    return bool(table[target])
 
 
 def zariski_validate(generators: Sequence[int]) -> bool:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,53 @@ class TestCurveAndQuasi:
         assert code == 0
         assert document["derived"] == [["2", "2"], ["5", "5"]]
         assert document["indices"] == ["2", "2"]
+
+
+class TestOracleIndependence:
+    def test_curve_and_subset_documents_do_not_use_the_oracle_sieve(
+        self, monkeypatch
+    ):
+        from affsemi import oracle
+
+        curve_argv = ["curve", "4", "6", "7", "--format", "machine"]
+        _, curve_out, _ = run_cli(curve_argv)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle sieve must not run here")
+
+        # Rebind every reference, including names imported into other modules.
+        for name in ("numerical_gaps_dp", "frobenius_number_dp"):
+            original = getattr(oracle, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "affsemi" and (
+                    getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, forbidden)
+
+        assert run_cli(curve_argv) == (0, curve_out, "")
+        argv, expected_code = GOLDEN["degenerate_subset"]
+        code, out, _ = run_cli(argv)
+        assert code == expected_code
+        assert out == (FIXTURES / "degenerate_subset.json").read_text()
+
+
+class TestNegativeArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "4", "6", "7", "--margin", "-2"],
+            ["analyze", "4", "6", "7", "--budget", "-1"],
+            ["dioph", "4", "6", "7", "--target", "9", "--budget", "-1"],
+        ],
+    )
+    def test_rejected_with_exit_two(self, argv):
+        errors = io.StringIO()
+        with contextlib.redirect_stderr(errors), pytest.raises(SystemExit) as raised:
+            cli.main(argv)
+        assert raised.value.code == 2
+        message = errors.getvalue().strip().splitlines()[-1]
+        assert "must be a non-negative integer" in message
+        assert "Traceback" not in errors.getvalue()
 
 
 class TestVerify:

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affsemi import (
     ConditionsUnmetError,
@@ -22,8 +25,10 @@ from affsemi.frobenius import (
     NO_SOLUTION,
     SOLVABLE_BY_CONE,
     SOLVABLE_WITH_WITNESS,
+    apery_set,
     in_closed_cone,
 )
+from affsemi.oracle import numerical_gaps_dp
 from affsemi.lattice import add, scale, sub
 from tests.conftest import analyzed, make_system
 
@@ -182,10 +187,39 @@ class TestSylvesterAndGaps:
         assert len(gap_list) * 2 == conductor
 
     def test_gaps_without_conditions(self):
-        # Falls back to the self-extending sieve when a condition fails.
+        # The gap list does not depend on the chain conditions.
         system, chain, _ = analyzed([(8,), (10,), (11,)])
         gap_list = gaps(system, chain)
         assert max(gap_list) == frobenius_number_dp([8, 10, 11]) == 25
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(2, 30), min_size=2, max_size=5))
+    def test_gaps_match_oracle_sieve(self, values):
+        # Covers systems whose chain conditions fail as well as hold.
+        assume(math.gcd(*values) == 1)
+        system, chain, _ = analyzed([(v,) for v in values])
+        assert gaps(system, chain) == numerical_gaps_dp(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        st.integers(1, 4),
+    )
+    def test_apery_membership_matches_bruteforce(self, values, factor):
+        values = [factor * v for v in values]
+        table = apery_set(values)
+        assert len(table) == min(values)
+        for n in range(4 * max(values)):
+            floor = table[n % len(table)]
+            member = floor is not None and floor <= n
+            found = membership_bruteforce([(v,) for v in values], (n,))
+            assert member == (found is not None), (values, n)
+
+    def test_apery_set_marks_unmet_classes(self):
+        assert apery_set([4, 6]) == (0, None, 6, None)
+        assert apery_set([7, 4]) == (0, 21, 14, 7)
+        with pytest.raises(ValueError):
+            apery_set([4, 0])
 
     def test_gaps_need_full_lattice(self):
         system, chain, _ = analyzed([(4,), (6,)])
