@@ -35,6 +35,7 @@ from .frobenius import (
     frobenius_vector,
     gaps,
     in_closed_cone,
+    numerical_gaps,
 )
 from .lattice import (
     GeneratorSystem,
@@ -493,10 +494,11 @@ def cmd_curve(args) -> int:
         n = _parse_int(args.values[0])
         m = [_parse_int(x) for x in args.values[1:]]
     data = curve_semigroup(CurveExponents(n, tuple(m)))
-    gap_list = None
-    if data.conductor <= GAP_SIEVE_LIMIT:
-        system = GeneratorSystem(1, tuple((x,) for x in data.generators))
-        gap_list = gaps(system, build_chain(system))
+    gap_list = (
+        numerical_gaps(data.generators)
+        if data.conductor <= GAP_SIEVE_LIMIT
+        else None
+    )
     document = {
         "input": {"n": _s(n), "m": _sv(m)},
         "generators": _sv(data.generators),

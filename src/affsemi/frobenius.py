@@ -313,18 +313,25 @@ def apery_set(values: Sequence[int]) -> tuple[Optional[int], ...]:
 
 
 def gaps(system: GeneratorSystem, chain: LatticeChain) -> tuple[int, ...]:
-    """All positive integers missing from a numerical semigroup (dim 1).
-
-    Read off the Apery set modulo a = min(generators): the gaps congruent to
-    r are r, r + a, ... below the class's Apery element.
-    """
+    """All positive integers missing from a numerical semigroup (dim 1)."""
     if system.ambient_dim != 1:
         raise ValueError("gaps are only defined for subsemigroups of N")
     if chain.minor_gcds[-1] != 1:
         raise ValueError(
             f"gap set is infinite: gcd of the generators is {chain.minor_gcds[-1]}"
         )
-    table = apery_set([v[0] for v in system.generators])
+    return numerical_gaps([v[0] for v in system.generators])
+
+
+def numerical_gaps(values: Sequence[int]) -> tuple[int, ...]:
+    """Gaps of the numerical semigroup generated by coprime ``values``.
+
+    Read off the Apery set modulo a = min(values): the gaps congruent to r
+    are r, r + a, ... below the class's Apery element.
+    """
+    table = apery_set(values)
+    if None in table:
+        raise ValueError("gap set is infinite: the values share a common factor")
     a = len(table)
     return tuple(sorted(
         itertools.chain.from_iterable(range(r, table[r], a) for r in range(1, a))

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import InvalidExponentsError
 from .exactlinalg import IntMatrix, Vector, as_int, as_vector, gcd_maximal_minors
-from .frobenius import FrobeniusReport, apery_set, frobenius_vector
+from .frobenius import FrobeniusReport, frobenius_vector
 from .lattice import GeneratorSystem, LatticeChain, build_chain, scale
 from .semigroup import ConditionReport, validate_conditions
 
@@ -93,7 +93,8 @@ def curve_semigroup(exponents: CurveExponents) -> CurveSemigroupData:
     The conductor is sum (index_k - 1) * r_k - r_0 + 1; it equals the Milnor
     number, and exactly half of the integers below it are gaps.  Each scaled
     generator index_k * r_k is re-checked to be representable over its
-    predecessors, through their Apery set; valid exponent data always passes.
+    predecessors by an explicit witness, in O(h) steps for h exponents
+    whatever the multiplicity; valid exponent data always passes.
     """
     n = exponents.multiplicity
     m = exponents.exponents
@@ -106,10 +107,15 @@ def curve_semigroup(exponents: CurveExponents) -> CurveSemigroupData:
     if conductor % 2:
         raise AssertionError("the conductor of a branch semigroup is even")
     for k in range(1, len(r)):
+        # Witness over r_0 .. r_{k-1} (the standard representation): from the
+        # top down, c_j is the residue mod indices[j-1] that leaves the rest
+        # in d[j-1] Z, and the rest must be a nonnegative multiple of n.
         target = indices[k - 1] * r[k]
-        table = apery_set(r[:k])
-        floor = table[target % len(table)]
-        if floor is None or floor > target:
+        rest = target
+        for j in range(k - 1, 0, -1):
+            unit = pow(r[j] // d[j], -1, indices[j - 1])
+            rest -= (rest // d[j]) * unit % indices[j - 1] * r[j]
+        if rest < 0 or rest % n:
             raise InvalidExponentsError(
                 f"scaled generator {indices[k - 1]}*{r[k]} is not representable "
                 "over its predecessors; exponent data is inconsistent"

@@ -202,6 +202,17 @@ class TestCurveAndQuasi:
         assert code == 0
         assert "generators: 4 6 13" in out
 
+    def test_curve_huge_multiplicity(self):
+        # The conductor is past the gap-list limit, so no table of n entries
+        # may be built anywhere on this path.
+        code, out, _ = run_cli(
+            ["curve", "1000000000", "1000000001", "--format", "machine"]
+        )
+        document = json.loads(out)
+        assert code == 0
+        assert document["conductor"] == "999999999000000000"
+        assert document["gaps"] is None
+
     def test_curve_invalid_exponents(self):
         code, _, err = run_cli(["curve", "4", "8"])
         assert code == 2

@@ -27,6 +27,7 @@ from affsemi.frobenius import (
     SOLVABLE_WITH_WITNESS,
     apery_set,
     in_closed_cone,
+    numerical_gaps,
 )
 from affsemi.oracle import numerical_gaps_dp
 from affsemi.lattice import add, scale, sub
@@ -225,6 +226,12 @@ class TestSylvesterAndGaps:
         system, chain, _ = analyzed([(4,), (6,)])
         with pytest.raises(ValueError):
             gaps(system, chain)
+
+    def test_numerical_gaps_from_plain_values(self):
+        assert numerical_gaps([5, 3]) == (1, 2, 4, 7)
+        assert numerical_gaps([1]) == ()
+        with pytest.raises(ValueError):
+            numerical_gaps([4, 6])
 
     def test_formula_matches_sieve_on_random_numerical_systems(self):
         from affsemi import random_conditioned_system

@@ -13,6 +13,7 @@ from affsemi import (
     multiple_order,
     standard_representation,
 )
+from affsemi.exactlinalg import gcd_maximal_minors
 from affsemi.lattice import add, scale, sub
 from tests.conftest import analyzed, make_system
 
@@ -190,15 +191,17 @@ class TestMultipleOrder:
                     assert not group_membership(chain, scale(vector, i), level)
 
     def test_minor_gcd_route_matches_basis_route(self, skew_example):
-        # Two independent membership tests: covolume comparison against the
-        # extended basis, and forward substitution against the Hermite basis.
+        # group_membership substitutes forward against the Hermite basis; the
+        # reference compares covolumes instead: a vector is a member exactly
+        # when adjoining it to the basis leaves the maximal-minor gcd alone.
         _, chain, _ = skew_example
         rng = random.Random(8)
         for _ in range(80):
             vector = (rng.randint(-12, 12), rng.randint(-12, 12))
             for level in range(chain.level_count + 1):
-                assert group_membership(chain, vector, level) == chain.contains(
-                    vector, level
+                extended = chain.bases[level].with_column(vector)
+                assert group_membership(chain, vector, level) == (
+                    gcd_maximal_minors(extended) == chain.minor_gcds[level]
                 )
 
 

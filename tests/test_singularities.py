@@ -66,6 +66,14 @@ class TestCurveSemigroup:
                 assert membership_bruteforce(previous, target) is not None
 
 
+    def test_huge_multiplicity_is_cheap(self):
+        # The re-check walks the exponents, not the residues mod n.
+        n = 10**12
+        data = curve_semigroup(CurveExponents(n, (n + 2, n + 3)))
+        assert data.gcd_chain == (n, 2, 1)
+        assert data.indices == (n // 2, 2)
+
+
 class TestZariskiValidate:
     def test_examples(self):
         assert zariski_validate([4, 6, 13])
