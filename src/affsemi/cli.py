@@ -12,8 +12,9 @@ Input is taken either from positional generator tokens (``4 6 7`` or
 documents survive arbitrary magnitudes; re-analysing the echoed input
 reproduces the document bit for bit.
 
-Exit codes: 0 success, 2 invalid input, 3 chain conditions unmet (without
-``--allow-subset``), 4 a verification sweep found a counterexample.
+Exit codes: 0 success, 1 internal error (a bug), 2 invalid input, 3 chain
+conditions unmet (without ``--allow-subset``), 4 a verification sweep found
+a counterexample.
 """
 
 from __future__ import annotations
@@ -688,6 +689,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Lift the 4300-digit cap on int <-> str so values of any size
+        # survive parsing and rendering.
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -701,6 +706,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except Exception as error:
+        print(
+            f"error: internal error: {type(error).__name__}: {error}",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

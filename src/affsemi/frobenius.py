@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .errors import ConditionsUnmetError, NotFullLatticeError, SearchBudgetExceededError
 from .exactlinalg import (
     Vector,
+    adjugate,
     as_int,
     as_vector,
     cramer_numerators,
@@ -54,8 +55,9 @@ CONDITIONS_UNMET = "conditions_unmet"
 #: Default node budget for the bounded search in diophantine_solve.
 DEFAULT_SEARCH_BUDGET = 10**7
 
-#: Largest fundamental-parallelepiped point count that conductor-set
-#: enumeration will attempt (dimension >= 2 only; dimension 1 is closed-form).
+#: Largest bounding box of the fundamental parallelepiped, in points, for
+#: which the conductor set is enumerated (dimension >= 2 only; dimension 1 is
+#: closed-form).  The enumeration itself visits |det| <= box points.
 CONDUCTOR_ENUMERATION_LIMIT = 2_000_000
 
 #: Indices beyond this skip the defensive membership re-check of the
@@ -213,9 +215,23 @@ def minimal_cone_points(system: GeneratorSystem) -> tuple[Vector, ...]:
     {sum a_i v_i : 0 < a_i <= 1}: an interior integral point with some
     coefficient above 1 still lies in the open cone after subtracting that
     generator, so it dominates another integral point.  Conversely any
-    dominator of a parallelepiped point is itself one, so filtering the
-    parallelepiped's integral points for pairwise minimality yields exactly
-    the global minimal set.
+    dominator of a parallelepiped point is itself one, so the minimal points
+    of the parallelepiped are exactly the global minimal set.
+
+    The parallelepiped holds exactly one integral point per coset of the
+    lattice L of the leading generators, |det| points in all, so those are
+    enumerated from one representative per coset (the box of the Hermite
+    diagonal of L) shifted into the parallelepiped; see
+    ``_parallelepiped_coordinates``.  On the cone coordinates
+    c(u) = |det| B^-1 u, for B the matrix of the leading generators,
+    "u - w in the closed cone" is the componentwise test c(w) <= c(u), so
+    the minimal set is a Pareto minimum, the maxima problem of Kung, Luccio
+    and Preparata (1975).  It is taken in its sort-filter skyline form
+    (Chomicki et al., 2003): a dominator w of u has c(w) <= c(u) and
+    c(w) != c(u), hence a strictly smaller coordinate sum, so after sorting
+    by that sum each point needs testing only against the minimal points
+    kept before it.  In dimension 2 sorting by (c_1, c_2) turns the test
+    into a running minimum of c_2.
     """
     e = system.ambient_dim
     if e == 1:
@@ -226,26 +242,69 @@ def minimal_cone_points(system: GeneratorSystem) -> tuple[Vector, ...]:
             "fundamental parallelepiped too large to enumerate "
             f"({_parallelepiped_size(system)} box points)"
         )
+    leading = system.leading()
+    bound = abs(determinant(system.leading_matrix()))
+    coordinates = _parallelepiped_coordinates(system)
+    minimal = _pareto_sweep(coordinates) if e == 2 else _pareto_skyline(coordinates)
+    # Back from coordinates to points: u = sum c_i v_i / |det|, exactly.
+    return tuple(sorted(
+        tuple(sum(c_i * v[j] for c_i, v in zip(c, leading)) // bound for j in range(e))
+        for c in minimal
+    ))
+
+
+def _parallelepiped_coordinates(system: GeneratorSystem) -> list[Vector]:
+    """Cone coordinates of the |det| integral points of the half-open
+    parallelepiped.
+
+    c(u) = sign(det) adj(B) u = |det| B^-1 u, so c(v_i) = |det| e_i and the
+    parallelepiped is 0 < c <= |det|.  The box of the Hermite diagonal h of
+    the leading lattice, prod [0, h_i), holds one representative r of each
+    coset.  Subtracting k_i = ceil(c_i(r) / |det|) - 1 copies of each v_i
+    moves r into the parallelepiped and its coordinates to
+    c_i(r) - |det| k_i = (c_i(r) - 1) mod |det| + 1.
+    """
     leading = system.leading_matrix()
     det = determinant(leading)
-    sign = 1 if det > 0 else -1
     bound = abs(det)
-    upper = [sum(v[j] for v in system.leading()) for j in range(e)]
-    candidates = []
-    for point in itertools.product(*(range(u + 1) for u in upper)):
-        nums = cramer_numerators(leading, point)
-        if all(0 < n * sign <= bound for n in nums):
-            candidates.append(point)
+    sign = 1 if det > 0 else -1
+    adj = [[sign * a for a in row] for row in adjugate(leading).rows]
+    basis = lattice_basis(system.leading())
+    diagonal = [basis.rows[i][i] for i in range(basis.nrows)]
+    return [
+        tuple((sum(a * x for a, x in zip(row, r)) - 1) % bound + 1 for row in adj)
+        for r in itertools.product(*(range(h) for h in diagonal))
+    ]
+
+
+def _pareto_sweep(coordinates: Sequence[Vector]) -> list[Vector]:
+    """Componentwise-minimal pairs among distinct pairs.
+
+    After sorting, every earlier pair has a smaller first entry, or an equal
+    one and a smaller second, so a pair is dominated exactly when some
+    earlier second entry is at most its own.
+    """
     minimal = []
-    for u in candidates:
-        dominated = False
-        for w in candidates:
-            if w != u and in_closed_cone(system, sub(u, w)):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(u)
-    return tuple(sorted(minimal))
+    lowest = None
+    for c in sorted(coordinates):
+        if lowest is None or c[1] < lowest:
+            minimal.append(c)
+            lowest = c[1]
+    return minimal
+
+
+def _pareto_skyline(coordinates: Sequence[Vector]) -> list[Vector]:
+    """Componentwise-minimal tuples among distinct tuples.
+
+    In order of the entry sum every dominator of a tuple comes first, and
+    some minimal tuple lies below any dominator, so testing each tuple
+    against the minimal ones kept so far decides it.
+    """
+    minimal: list[Vector] = []
+    for c in sorted(coordinates, key=sum):
+        if not any(all(a <= b for a, b in zip(w, c)) for w in minimal):
+            minimal.append(c)
+    return minimal
 
 
 def conductor_set(

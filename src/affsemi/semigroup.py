@@ -176,44 +176,47 @@ def membership_bruteforce(
             coverage[p + 1][j] or ordered[p][j] > 0 for j in range(dim)
         ]
 
+    # Depth-first with an explicit stack, so that the depth (one level per
+    # generator) is not bounded by the interpreter's recursion limit.  Each
+    # open frame is [remainder at its position, coefficient tried, bound].
+    last = len(ordered) - 1
+    frames: list[list] = []
+    remaining = goal
     nodes = 0
-
-    def search(pos: int, remaining: Vector) -> Optional[list[int]]:
-        nonlocal nodes
+    while True:
+        pos = len(frames)
         nodes += 1
         if budget is not None and nodes > budget:
             raise SearchBudgetExceededError(
                 f"membership search exceeded {budget} nodes"
             )
+        tail: Optional[list[int]] = None
         if not any(remaining):
-            return [0] * (len(ordered) - pos)
-        if pos == len(ordered):
-            return None
-        if any(remaining[j] > 0 and not coverage[pos][j] for j in range(dim)):
-            return None
-        gen = ordered[pos]
-        bound = min(remaining[j] // gen[j] for j in range(dim) if gen[j] > 0)
-        if pos == len(ordered) - 1:
+            tail = [0] * (len(ordered) - pos)
+        elif pos < len(ordered) and not any(
+            remaining[j] > 0 and not coverage[pos][j] for j in range(dim)
+        ):
+            gen = ordered[pos]
+            if pos < last:
+                bound = min(remaining[j] // gen[j] for j in range(dim) if gen[j] > 0)
+                frames.append([remaining, 0, bound])
+                continue
             # Last generator: the coefficient is forced, check divisibility.
-            for j in range(dim):
-                if gen[j] > 0:
-                    count, rem = divmod(remaining[j], gen[j])
-                    if rem or scale(gen, count) != remaining:
-                        return None
-                    return [count]
+            j = next(j for j in range(dim) if gen[j] > 0)
+            count, rem = divmod(remaining[j], gen[j])
+            if not rem and scale(gen, count) == remaining:
+                tail = [count]
+        if tail is not None:
+            solution = [frame[1] for frame in frames] + tail
+            break
+        # Backtrack to the deepest frame with a coefficient left to try.
+        while frames and frames[-1][1] == frames[-1][2]:
+            frames.pop()
+        if not frames:
             return None
-        for count in range(bound + 1):
-            found = search(pos + 1, sub(remaining, scale(gen, count)) if count else remaining)
-            if found is not None:
-                return [count] + found
-        return None
-
-    try:
-        solution = search(0, goal)
-    except SearchBudgetExceededError:
-        raise
-    if solution is None:
-        return None
+        frame = frames[-1]
+        frame[1] += 1
+        remaining = sub(frame[0], scale(ordered[len(frames) - 1], frame[1]))
     coeffs = [0] * len(gens)
     for position, original in enumerate(order):
         coeffs[original] = solution[position]

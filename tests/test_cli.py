@@ -309,6 +309,14 @@ class TestVerify:
 
 
 class TestBigIntegers:
+    def test_values_beyond_the_default_digit_limit(self):
+        big = "3" + "0" * 4400 + "1"
+        code, out, err = run_cli(["analyze", "2", big, "--format", "machine"])
+        assert (code, err) == (0, "")
+        document = json.loads(out)
+        assert document["input"]["generators"] == [["2"], [big]]
+        assert document["frobenius"]["vector"] == [str(int(big) - 2)]
+
     def test_huge_generators_round_trip(self, tmp_path):
         a = str(10**21)
         b = str(10**21 + 1)
@@ -327,3 +335,16 @@ class TestBigIntegers:
         )
         assert code == 0
         assert again == out
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_one_without_traceback(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("deliberately broken")
+
+        monkeypatch.setattr(cli, "cmd_analyze", broken)
+        code, out, err = run_cli(["analyze", "4", "6", "7"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: deliberately broken\n"
+        assert "Traceback" not in err

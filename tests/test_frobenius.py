@@ -1,8 +1,9 @@
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from affsemi import (
@@ -25,12 +26,16 @@ from affsemi.frobenius import (
     NO_SOLUTION,
     SOLVABLE_BY_CONE,
     SOLVABLE_WITH_WITNESS,
+    _parallelepiped_coordinates,
+    _pareto_skyline,
+    _pareto_sweep,
     apery_set,
     in_closed_cone,
     numerical_gaps,
 )
+from affsemi.exactlinalg import IntMatrix, adjugate, cramer_numerators, determinant
 from affsemi.oracle import numerical_gaps_dp
-from affsemi.lattice import add, scale, sub
+from affsemi.lattice import GeneratorSystem, add, scale, sub
 from tests.conftest import analyzed, make_system
 
 
@@ -144,6 +149,76 @@ class TestConductor:
     def test_single_minimal_point_for_skew_cone(self, skew_example):
         system, _, _ = skew_example
         assert minimal_cone_points(system) == ((1, 1),)
+
+
+def box_scan_minimal_points(system):
+    """Reference enumeration: every point of the parallelepiped's bounding box
+    by Cramer's rule, then a pairwise closed-cone domination test."""
+    e = system.ambient_dim
+    leading = system.leading_matrix()
+    det = determinant(leading)
+    sign = 1 if det > 0 else -1
+    bound = abs(det)
+    upper = [sum(v[j] for v in system.leading()) for j in range(e)]
+    candidates = []
+    for point in itertools.product(*(range(u + 1) for u in upper)):
+        nums = cramer_numerators(leading, point)
+        if all(0 < n * sign <= bound for n in nums):
+            candidates.append(point)
+    minimal = []
+    for u in candidates:
+        if not any(w != u and in_closed_cone(system, sub(u, w)) for w in candidates):
+            minimal.append(u)
+    return tuple(sorted(minimal))
+
+
+@st.composite
+def leading_blocks(draw):
+    """Nonsingular e = 2 or e = 3 blocks; a common factor f > 1 puts f on
+    every entry of the Hermite diagonal, and a swap flips the sign of det."""
+    e = draw(st.sampled_from([2, 3]))
+    top = 7 if e == 2 else 3
+    factor = draw(st.sampled_from([1, 1, 2, 3]))
+    columns = [
+        tuple(factor * draw(st.integers(0, top)) for _ in range(e)) for _ in range(e)
+    ]
+    if draw(st.booleans()):
+        columns[0], columns[1] = columns[1], columns[0]
+    return columns
+
+
+class TestMinimalConePointsEnumeration:
+    @settings(max_examples=80, deadline=None)
+    @given(leading_blocks())
+    @example([(2, 0), (0, 2)])
+    @example([(0, 2), (2, 0)])
+    @example([(2, 4), (4, 2)])
+    @example([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    @example([(0, 3, 1), (3, 1, 0), (1, 0, 3)])
+    def test_matches_the_box_scan(self, columns):
+        det = determinant(IntMatrix.from_columns(columns))
+        assume(0 < abs(det) <= 120)
+        system = GeneratorSystem(len(columns), tuple(columns))
+        assert minimal_cone_points(system) == box_scan_minimal_points(system)
+
+    def test_large_determinant(self):
+        system = GeneratorSystem(2, ((317, 1), (1, 317)))
+        det = determinant(system.leading_matrix())
+        assert det == 100488
+        adj = adjugate(system.leading_matrix()).rows
+        points = minimal_cone_points(system)
+        coordinates = [
+            tuple(sum(a * x for a, x in zip(row, u)) for row in adj) for u in points
+        ]
+        assert all(0 < c <= det for cs in coordinates for c in cs)
+        # Pairwise incomparable pairs: sorted by the first coordinate, the
+        # first strictly rises and the second strictly falls.
+        ordered = sorted(coordinates)
+        for (a1, a2), (b1, b2) in zip(ordered, ordered[1:]):
+            assert a1 < b1 and a2 > b2
+        every = _parallelepiped_coordinates(system)
+        assert len(set(every)) == det
+        assert set(_pareto_sweep(every)) == set(_pareto_skyline(every)) == set(coordinates)
 
 
 class TestSylvesterAndGaps:

@@ -96,6 +96,47 @@ class TestMembershipFast:
         assert result.representation is None
 
 
+def recursive_search(gens, goal):
+    """The depth-first search of membership_bruteforce written recursively:
+    returns its witness (in search order) and the number of nodes visited."""
+    order = sorted(range(len(gens)), key=lambda i: -min(x for x in gens[i] if x > 0))
+    ordered = [gens[i] for i in order]
+    dim = len(goal)
+    nodes = 0
+
+    def search(pos, remaining):
+        nonlocal nodes
+        nodes += 1
+        if not any(remaining):
+            return [0] * (len(ordered) - pos)
+        if pos == len(ordered):
+            return None
+        if any(
+            remaining[j] > 0 and all(g[j] == 0 for g in ordered[pos:])
+            for j in range(dim)
+        ):
+            return None
+        gen = ordered[pos]
+        bound = min(remaining[j] // gen[j] for j in range(dim) if gen[j] > 0)
+        if pos == len(ordered) - 1:
+            j = next(j for j in range(dim) if gen[j] > 0)
+            count, rem = divmod(remaining[j], gen[j])
+            return None if rem or scale(gen, count) != remaining else [count]
+        for count in range(bound + 1):
+            found = search(pos + 1, tuple(r - count * x for r, x in zip(remaining, gen)))
+            if found is not None:
+                return [count] + found
+        return None
+
+    found = search(0, goal)
+    if found is None:
+        return None, nodes
+    coeffs = [0] * len(gens)
+    for position, original in enumerate(order):
+        coeffs[original] = found[position]
+    return tuple(coeffs), nodes
+
+
 class TestMembershipBruteforce:
     def test_unreachable_target(self):
         assert membership_bruteforce([(8,), (10,)], (22,)) is None
@@ -141,6 +182,27 @@ class TestMembershipBruteforce:
             pruned = membership_bruteforce(gens, target)
             unpruned = unpruned_search(gens, target)
             assert (pruned is None) == (unpruned is None)
+
+    def test_more_generators_than_the_recursion_limit(self):
+        gens = [(v,) for v in range(2, 1102)]
+        witness = membership_bruteforce(gens, (5,))
+        assert witness == (1, 1) + (0,) * 1098
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(any),
+            min_size=1,
+            max_size=4,
+        ),
+        st.tuples(st.integers(0, 16), st.integers(0, 16)),
+    )
+    def test_same_witness_and_node_count_as_the_recursion(self, gens, target):
+        witness, nodes = recursive_search(gens, target)
+        assert membership_bruteforce(gens, target) == witness
+        assert membership_bruteforce(gens, target, budget=nodes) == witness
+        with pytest.raises(SearchBudgetExceededError):
+            membership_bruteforce(gens, target, budget=nodes - 1)
 
     @settings(max_examples=80, deadline=None)
     @given(
