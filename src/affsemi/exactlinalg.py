@@ -155,13 +155,22 @@ def gcd_maximal_minors(matrix: IntMatrix) -> int:
     return abs(determinant(basis))
 
 
-def lattice_basis(vectors: Iterable[Sequence]) -> IntMatrix:
+def lattice_basis(vectors: Iterable[Sequence], rank: Optional[int] = None) -> IntMatrix:
     """Hermite basis (as columns) of the lattice generated by the vectors.
 
     The result is a lower-triangular e x e matrix with positive diagonal and
     off-diagonal entries reduced below the diagonal entry of their row; its
     determinant equals the covolume of the lattice.  Raises
     ``RankDeficientError`` when the vectors do not span rank e.
+
+    With ``rank`` below the length of the vectors, only the first ``rank``
+    coordinates are pivoted on and the trailing ones ride along: every
+    column operation of the reduction is applied to them too, so they record
+    which combination of the inputs each basis column is (the Hermite form
+    with a transformation matrix, Cohen, "A Course in Computational
+    Algebraic Number Theory", section 2.4, keeping only the chosen rows).  The
+    result then has ``rank`` columns; its first ``rank`` rows are the
+    Hermite basis of the lattice the leading coordinates span.
     """
     cols = [list(as_vector(v)) for v in vectors]
     if not cols:
@@ -169,6 +178,8 @@ def lattice_basis(vectors: Iterable[Sequence]) -> IntMatrix:
     e = len(cols[0])
     if any(len(c) != e for c in cols):
         raise DimensionError("vectors have differing lengths")
+    if rank is not None:
+        e = rank
 
     work = [c[:] for c in cols]
     n = len(work)

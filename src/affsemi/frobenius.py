@@ -60,10 +60,6 @@ DEFAULT_SEARCH_BUDGET = 10**7
 #: closed-form).  The enumeration itself visits |det| <= box points.
 CONDUCTOR_ENUMERATION_LIMIT = 2_000_000
 
-#: Indices beyond this skip the defensive membership re-check of the
-#: closed-form vector (the re-check enumerates residues level by level).
-RECHECK_INDEX_LIMIT = 10**6
-
 
 @dataclass(frozen=True)
 class FrobeniusReport:
@@ -75,16 +71,18 @@ class FrobeniusReport:
     well-behaved subset of the generators and is only an upper threshold:
     everything in the group beyond it is in the semigroup, but smaller
     non-members may exist.  ``used_subset`` then lists the 1-based positions
-    of the extra generators that were kept.
+    of the extra generators that were kept.  ``vector_in_group`` and
+    ``vector_in_semigroup`` are the verdicts of the membership re-check of
+    ``vector``.
     """
 
     vector: Vector
     conditions: ConditionReport
     conductor: Optional[tuple[Vector, ...]]
+    vector_in_group: bool
+    vector_in_semigroup: bool
     threshold_only: bool = False
     used_subset: Optional[tuple[int, ...]] = None
-    vector_in_group: bool = True
-    vector_in_semigroup: bool = False
 
 
 @dataclass(frozen=True)
@@ -123,22 +121,26 @@ def frobenius_vector(
             "frobenius_vector requires both chain conditions", report=report
         )
     g = frobenius_formula(system, chain)
-    if max(chain.indices, default=1) <= RECHECK_INDEX_LIMIT:
-        # Defensive re-check; residue enumeration rules it out for
-        # astronomical indices, where the closed form stands on its own.
-        membership = membership_fast(system, chain, g, report)
-        if not membership.in_group or membership.in_semigroup:
-            raise AssertionError(
-                "the Frobenius vector must be a group element outside the "
-                "semigroup"
-            )
+    # Defensive re-check through the sign criterion, O(e^2) per level.
+    membership = membership_fast(system, chain, g, report)
+    if not membership.in_group or membership.in_semigroup:
+        raise AssertionError(
+            "the Frobenius vector must be a group element outside the "
+            "semigroup"
+        )
     conductor = None
     if chain.minor_gcds[-1] == 1 and (
         system.ambient_dim == 1
         or _parallelepiped_size(system) <= CONDUCTOR_ENUMERATION_LIMIT
     ):
         conductor = conductor_set(system, chain, g)
-    return FrobeniusReport(vector=g, conditions=report, conductor=conductor)
+    return FrobeniusReport(
+        vector=g,
+        conditions=report,
+        conductor=conductor,
+        vector_in_group=membership.in_group,
+        vector_in_semigroup=membership.in_semigroup,
+    )
 
 
 def frobenius_subset(
@@ -407,10 +409,12 @@ def diophantine_solve(
     Classification: targets outside the group are infeasible outright; when
     both chain conditions hold and the target lies beyond the Frobenius
     vector inside the open cone, solvability is certified by the cone
-    position and the standard representation supplies the witness.
-    Otherwise a bounded search runs; under the conditions an exceeded budget
-    still resolves exactly through the representation's sign criterion,
-    while without them it is reported as undecided.
+    position and the standard representation supplies the witness.  Other
+    targets under the conditions are decided first by the representation's
+    sign criterion: a non-member has no solution, and only a member runs
+    the bounded search for its witness, falling back to the representation
+    when the budget runs out.  Without the conditions the bounded search
+    decides alone, and an exceeded budget is reported as undecided.
     """
     goal = as_vector(target)
     if any(x < 0 for x in goal):
@@ -426,18 +430,18 @@ def diophantine_solve(
             if not result.in_semigroup:
                 raise AssertionError("cone position must certify membership")
             return DiophantineAnswer(SOLVABLE_BY_CONE, result.representation.coefficients)
+        result = membership_fast(system, chain, goal, conditions)
+        if not result.in_semigroup:
+            return DiophantineAnswer(NO_SOLUTION)
         try:
             witness = membership_bruteforce(system.generators, goal, budget)
         except SearchBudgetExceededError:
-            result = membership_fast(system, chain, goal, conditions)
-            if result.in_semigroup:
-                return DiophantineAnswer(
-                    SOLVABLE_WITH_WITNESS, result.representation.coefficients
-                )
-            return DiophantineAnswer(NO_SOLUTION)
-        if witness is not None:
-            return DiophantineAnswer(SOLVABLE_WITH_WITNESS, witness)
-        return DiophantineAnswer(NO_SOLUTION)
+            return DiophantineAnswer(
+                SOLVABLE_WITH_WITNESS, result.representation.coefficients
+            )
+        if witness is None:
+            raise AssertionError("the search must find a witness for a member")
+        return DiophantineAnswer(SOLVABLE_WITH_WITNESS, witness)
     try:
         witness = membership_bruteforce(system.generators, goal, budget)
     except SearchBudgetExceededError:

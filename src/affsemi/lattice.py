@@ -3,13 +3,14 @@
 A generator system is a list of vectors v_1 .. v_{e+s} in N^e whose first e
 entries span R^e and whose remaining entries lie in the cone of the first e.
 Adjoining the extra generators one at a time produces a chain of rank-e
-subgroups of Z^e; this module builds that chain (gcds of maximal minors,
-successive indices, Hermite bases) and answers membership and representation
-queries against it.
+subgroups of Z^e; this module builds that chain (covolumes, successive
+indices, Hermite bases) by one tagged Hermite insertion per generator and
+answers membership and representation queries against it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,7 +21,6 @@ from .exactlinalg import (
     as_vector,
     cramer_numerators,
     determinant,
-    gcd_maximal_minors,
     lattice_basis,
     solve_lower_triangular,
     solve_square_integer,
@@ -139,6 +139,9 @@ class LatticeChain:
     generators, i.e. the covolume of the level-k group; ``indices[k-1]`` is
     the quotient ``minor_gcds[k-1] // minor_gcds[k]``, the index of level k-1
     inside level k.  ``bases[k]`` is a Hermite basis of the level-k group.
+    ``tags[k-1][i]`` is the coefficient, modulo ``indices[k-1]``, of the k-th
+    extra generator in column i of ``bases[k]``: that column minus the tag
+    times the generator lies in the level k-1 group.
 
     ``witnesses`` and ``conditions`` start empty and are filled in exactly
     once by ``semigroup.validate_conditions``; after that the object is
@@ -149,6 +152,7 @@ class LatticeChain:
     minor_gcds: tuple[int, ...]
     indices: tuple[int, ...]
     bases: tuple[IntMatrix, ...]
+    tags: tuple[Vector, ...]
     witnesses: list[Optional[Vector]] = field(default_factory=list)
     conditions: Optional[object] = None
 
@@ -165,35 +169,66 @@ class LatticeChain:
 
 
 def build_chain(system: GeneratorSystem) -> LatticeChain:
-    """Compute minor gcds, indices and Hermite bases for every level.
+    """Compute covolumes, indices, Hermite bases and tags for every level.
 
-    The chain is built even when some index degenerates to 1; consumers that
-    need strictly growing groups must check the conditions themselves.
+    Each extra generator is adjoined to the Hermite basis of the level below
+    by one tagged insertion (``_insert``), so level k costs one reduction of
+    e + 1 columns whatever k.  The covolume is the product of the Hermite
+    diagonal.  The chain is built even when some index degenerates to 1;
+    consumers that need strictly growing groups must check the conditions
+    themselves.
     """
-    e = system.ambient_dim
-    gens = system.generators
-    minor_gcds = []
-    bases = []
-    for k in range(system.extra_count + 1):
-        prefix = gens[: e + k]
-        matrix = IntMatrix.from_columns(prefix)
-        minor_gcds.append(gcd_maximal_minors(matrix))
-        bases.append(lattice_basis(prefix))
+    basis = lattice_basis(system.leading())
+    minor_gcds = [_covolume(basis)]
+    bases = [basis]
     indices = []
-    for k in range(1, len(minor_gcds)):
-        quotient, remainder = divmod(minor_gcds[k - 1], minor_gcds[k])
-        if remainder:
-            raise AssertionError(
-                "minor gcds must divide along the chain; this is a bug"
-            )
-        indices.append(quotient)
+    tags = []
+    for extra in system.extras():
+        basis, tag = _insert(basis, extra)
+        index = _index(minor_gcds[-1], basis)
+        minor_gcds.append(minor_gcds[-1] // index)
+        bases.append(basis)
+        indices.append(index)
+        tags.append(tuple(t % index for t in tag))
     return LatticeChain(
         system=system,
         minor_gcds=tuple(minor_gcds),
         indices=tuple(indices),
         bases=tuple(bases),
+        tags=tuple(tags),
         witnesses=[None] * system.extra_count,
     )
+
+
+def _insert(basis: IntMatrix, vector: Vector) -> tuple[IntMatrix, Vector]:
+    """Hermite basis of the lattice of ``basis`` plus ``vector``, with tags.
+
+    The columns [basis | vector] carry one extra row, 0 on the basis and 1
+    on ``vector``, which the reduction applies every column operation to
+    without pivoting on it.  Each new basis column then ends in its
+    coefficient of ``vector`` over the old lattice.
+    """
+    e = basis.nrows
+    tagged = lattice_basis(
+        [column + (0,) for column in basis.columns()] + [vector + (1,)], rank=e
+    )
+    return IntMatrix(tagged.rows[:e]), tagged.rows[e]
+
+
+def _covolume(basis: IntMatrix) -> int:
+    """Determinant of a Hermite basis: the product of its diagonal."""
+    return math.prod(basis.rows[i][i] for i in range(basis.nrows))
+
+
+def _index(covolume: int, basis: IntMatrix) -> int:
+    """Index of a lattice of the given covolume inside the lattice of
+    ``basis``, which contains it."""
+    quotient, remainder = divmod(covolume, _covolume(basis))
+    if remainder:
+        raise AssertionError(
+            "covolumes must divide along the chain; this is a bug"
+        )
+    return quotient
 
 
 def group_membership(chain: LatticeChain, vector: Sequence[int], level: int) -> bool:
@@ -208,19 +243,15 @@ def group_membership(chain: LatticeChain, vector: Sequence[int], level: int) -> 
 def multiple_order(chain: LatticeChain, vector: Sequence[int], level: int) -> int:
     """Smallest q >= 1 with q * vector in the level group.
 
-    Equals the covolume of the group divided by the gcd of maximal minors of
-    the basis extended by ``vector``; members have order 1.
+    Equals the index of the level group inside the group it spans together
+    with ``vector``, read off one tagged insertion; members have order 1.
     """
     _check_level(chain, level)
     v = as_vector(vector)
     if not any(v):
         raise ValueError("multiple_order is undefined for the zero vector")
-    extended = chain.bases[level].with_column(v)
-    dropped = gcd_maximal_minors(extended)
-    quotient, remainder = divmod(chain.minor_gcds[level], dropped)
-    if remainder:
-        raise AssertionError("extended minor gcd must divide the covolume")
-    return quotient
+    extended, _ = _insert(chain.bases[level], v)
+    return _index(chain.minor_gcds[level], extended)
 
 
 def standard_representation(
@@ -230,10 +261,11 @@ def standard_representation(
 
     Walks the levels from the top down: at level j the coefficient of the
     j-th extra generator is the unique residue in [0, index_j) whose removal
-    lands in the level j-1 group, and existence of such a residue at every
-    step characterises membership.  The leading coefficients come from the
-    square integer solve at the bottom.  Returns None when ``vector`` is not
-    in the level group.
+    lands in the level j-1 group.  Writing the vector as y over the Hermite
+    basis of level j (forward substitution), that residue is
+    sum(y_i * tag_i) mod index_j, so each level costs O(e^2) whatever its
+    index.  The leading coefficients come from the square integer solve at
+    the bottom.  Returns None when ``vector`` is not in the level group.
     """
     if level is None:
         level = chain.level_count
@@ -244,21 +276,21 @@ def standard_representation(
         raise ValueError(f"vector has length {len(residual)}, expected {e}")
     reduced: list[int] = []
     for j in range(level, 0, -1):
-        index = chain.indices[j - 1]
-        generator = chain.system.generators[e + j - 1]
-        basis_below = chain.bases[j - 1]
-        for residue in range(index):
-            candidate = sub(residual, scale(generator, residue)) if residue else residual
-            if solve_lower_triangular(basis_below, candidate) is not None:
-                reduced.append(residue)
-                residual = candidate
-                break
-        else:
+        coordinates = solve_lower_triangular(chain.bases[j], residual)
+        if coordinates is None:
+            # Only reachable at the top level: below it the residual stays
+            # in the group of the level it is solved against.
             return None
+        residue = sum(
+            y * t for y, t in zip(coordinates, chain.tags[j - 1])
+        ) % chain.indices[j - 1]
+        reduced.append(residue)
+        if residue:
+            residual = sub(residual, scale(chain.system.generators[e + j - 1], residue))
     head = solve_square_integer(chain.system.leading_matrix(), residual)
     if head is None:
-        # Only reachable at level 0; at higher levels the last residue test
-        # already certified membership in the level-0 group.
+        # Only reachable at level 0; at higher levels the residual is
+        # already certified to lie in the level-0 group.
         return None
     return StandardRepresentation(level, head + tuple(reversed(reduced)))
 

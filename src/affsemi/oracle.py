@@ -120,18 +120,6 @@ def _close_under_generators(
             step = tuple(2 * x for x in step)
 
 
-def _closure_from(
-    seed: Vector, system: GeneratorSystem, upper: Vector
-) -> np.ndarray:
-    """Grid over [0, upper] of points reachable from ``seed``."""
-    shape = tuple(u + 1 for u in upper)
-    grid = np.zeros(shape, dtype=bool)
-    if all(0 <= seed[j] <= upper[j] for j in range(len(upper))):
-        grid[seed] = True
-        _close_under_generators(grid, system.generators, upper)
-    return grid
-
-
 def _reachable_set_sparse(
     system: GeneratorSystem, upper: Vector
 ) -> set[Vector]:
@@ -191,7 +179,8 @@ def numerical_gaps_dp(generators: Sequence[int]) -> tuple[int, ...]:
 
     The sieve grows until it sees min(generators) consecutive representable
     integers; from there on everything is representable, so the gaps below
-    that run are all of them.
+    that run are all of them.  The table over [0, limit] is the closure of
+    the origin under the generators, as in ``reachable_grid``.
     """
     values = _coprime_values(generators)
     smallest = values[0]
@@ -199,21 +188,16 @@ def numerical_gaps_dp(generators: Sequence[int]) -> tuple[int, ...]:
         return ()
     limit = values[-1] * smallest + 1
     while True:
-        table = bytearray(limit + 1)
-        table[0] = 1
-        for n in range(1, limit + 1):
-            for v in values:
-                if v <= n and table[n - v]:
-                    table[n] = 1
-                    break
-        run = 0
-        for n in range(limit + 1):
-            run = run + 1 if table[n] else 0
-            if run == smallest:
-                first_safe = n - smallest + 1
-                return tuple(
-                    m for m in range(1, first_safe) if not table[m]
-                )
+        table = np.zeros(limit + 1, dtype=bool)
+        table[0] = True
+        _close_under_generators(table, [(v,) for v in values], (limit,))
+        # members[k] counts the members below k, so the window of
+        # ``smallest`` integers from k is full when the difference is.
+        members = np.concatenate(([0], np.cumsum(table, dtype=np.int64)))
+        full = np.flatnonzero(members[smallest:] - members[:-smallest] == smallest)
+        if full.size:
+            first_safe = int(full[0])
+            return tuple((np.flatnonzero(~table[1:first_safe]) + 1).tolist())
         limit *= 2
 
 
@@ -475,11 +459,16 @@ def verify_conductor(
         envelope = add(envelope, v)
     cover_upper = scale(envelope, margin)
     points = _box_points((0,) * e, cover_upper)
-    interior = np.all(_cone_numerators(system, points) > 0, axis=1)
+    # The cone coordinates are linear, so u - w is in the closed cone
+    # exactly when the coordinates of u dominate those of w.
+    numerators = _cone_numerators(system, points)
+    offset_numerators = _cone_numerators(
+        system, np.array(offsets, dtype=np.int64).reshape(-1, e)
+    )
+    interior = np.all(numerators > 0, axis=1)
     covered = np.zeros(len(points), dtype=bool)
-    for w in offsets:
-        diffs = points - np.array(w, dtype=np.int64)
-        covered |= np.all(_cone_numerators(system, diffs) >= 0, axis=1)
+    for w in offset_numerators:
+        covered |= np.all(numerators >= w, axis=1)
     if bool(np.any(interior & ~covered)):
         return False
 
@@ -490,13 +479,15 @@ def verify_conductor(
         max(c[j] for c in conductor_points) + margin * total[j] for j in range(e)
     )
     gamma = reachable_grid(system, top)
+    if any(x < 0 for c in conductor_points for x in c):
+        return False
+    # Closure distributes over the seeds, so one closure seeded at every
+    # conductor point escapes the semigroup exactly when one of theirs does.
+    shifted = np.zeros(gamma.shape, dtype=bool)
     for c in conductor_points:
-        if any(x < 0 for x in c):
-            return False
-        shifted = _closure_from(c, system, top)
-        if bool(np.any(shifted & ~gamma)):
-            return False
-    return True
+        shifted[c] = True
+    _close_under_generators(shifted, system.generators, top)
+    return not bool(np.any(shifted & ~gamma))
 
 
 def random_conditioned_system(

@@ -2,7 +2,15 @@ import math
 
 import pytest
 
-from affsemi import CurveExponents, GeneratorSystem, build_chain, validate_conditions
+from affsemi import (
+    CurveExponents,
+    GeneratorSystem,
+    InvalidGeneratorsError,
+    build_chain,
+    validate_conditions,
+)
+from affsemi.frobenius import in_closed_cone
+from affsemi.lattice import add
 
 
 def make_system(vectors):
@@ -29,6 +37,33 @@ def random_curve_exponents(rng, max_steps=3, factor_pool=(2, 2, 2, 3, 3, 5)):
         exponents.append(t * d[k])
         previous = exponents[-1]
     return CurveExponents(n, tuple(exponents))
+
+
+def random_system(rng, e, extra_count, max_entry=12):
+    """Generator system with extras in the cone of a random leading block.
+
+    The leading determinant takes either sign (e >= 2), and about a quarter
+    of the extras are sums of two earlier generators, so their level has
+    index 1.
+    """
+    while True:
+        leading = [
+            tuple(rng.randint(0, max_entry) for _ in range(e)) for _ in range(e)
+        ]
+        try:
+            leading_system = GeneratorSystem(e, tuple(leading))
+        except InvalidGeneratorsError:
+            continue
+        break
+    vectors = list(leading)
+    while len(vectors) < e + extra_count:
+        if rng.random() < 0.25:
+            vectors.append(add(rng.choice(vectors), rng.choice(vectors)))
+            continue
+        candidate = tuple(rng.randint(0, max_entry) for _ in range(e))
+        if any(candidate) and in_closed_cone(leading_system, candidate):
+            vectors.append(candidate)
+    return GeneratorSystem(e, tuple(vectors))
 
 
 def analyzed(vectors):

@@ -337,6 +337,29 @@ class TestBigIntegers:
         assert again == out
 
 
+    def test_large_index_is_rechecked(self, monkeypatch):
+        import affsemi.frobenius
+
+        p = 10**12 + 39
+        g = p * (p + 2) - p - (p + 2)
+        rechecked = []
+        original = affsemi.frobenius.membership_fast
+
+        def spy(system, chain, vector, conditions=None):
+            result = original(system, chain, vector, conditions)
+            rechecked.append((tuple(vector), result.in_group, result.in_semigroup))
+            return result
+
+        monkeypatch.setattr(affsemi.frobenius, "membership_fast", spy)
+        code, out, err = run_cli(["analyze", str(p), str(p + 2), "--format", "machine"])
+        assert (code, err) == (0, "")
+        assert rechecked == [((g,), True, False)]
+        document = json.loads(out)
+        assert document["frobenius"]["vector"] == [str(g)]
+        assert document["frobenius"]["vector_in_group"] is True
+        assert document["frobenius"]["vector_in_semigroup"] is False
+
+
 class TestInternalErrors:
     def test_unexpected_exception_exits_one_without_traceback(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -10,6 +10,7 @@ from affsemi import (
     ConditionsUnmetError,
     NotFullLatticeError,
     beyond_frobenius,
+    build_chain,
     conductor_set,
     diophantine_solve,
     frobenius_number_dp,
@@ -19,9 +20,14 @@ from affsemi import (
     membership_bruteforce,
     membership_fast,
     minimal_cone_points,
+    random_conditioned_system,
     sylvester_number,
+    validate_conditions,
 )
+from affsemi.errors import SearchBudgetExceededError
 from affsemi.frobenius import (
+    CONDITIONS_UNMET,
+    DiophantineAnswer,
     LATTICE_INFEASIBLE,
     NO_SOLUTION,
     SOLVABLE_BY_CONE,
@@ -30,13 +36,14 @@ from affsemi.frobenius import (
     _pareto_skyline,
     _pareto_sweep,
     apery_set,
+    frobenius_formula,
     in_closed_cone,
     numerical_gaps,
 )
 from affsemi.exactlinalg import IntMatrix, adjugate, cramer_numerators, determinant
 from affsemi.oracle import numerical_gaps_dp
 from affsemi.lattice import GeneratorSystem, add, scale, sub
-from tests.conftest import analyzed, make_system
+from tests.conftest import analyzed, make_system, random_system
 
 
 class TestFrobeniusVector:
@@ -365,3 +372,67 @@ class TestDiophantine:
         for c, g in zip(answer.witness, system.generators):
             total = add(total, scale(g, c))
         assert total == (24, 16)
+
+
+def diophantine_solve_search_first(system, goal, budget):
+    """Reference: the bounded search runs before the sign criterion, which
+    only settles the targets whose search ran out of budget."""
+    chain = build_chain(system)
+    conditions = validate_conditions(system, chain, budget)
+    if not chain.contains(goal, chain.level_count):
+        return DiophantineAnswer(LATTICE_INFEASIBLE)
+    if conditions.all_hold:
+        g = frobenius_formula(system, chain)
+        if beyond_frobenius(system, g, goal):
+            result = membership_fast(system, chain, goal, conditions)
+            return DiophantineAnswer(SOLVABLE_BY_CONE, result.representation.coefficients)
+        try:
+            witness = membership_bruteforce(system.generators, goal, budget)
+        except SearchBudgetExceededError:
+            result = membership_fast(system, chain, goal, conditions)
+            if result.in_semigroup:
+                return DiophantineAnswer(
+                    SOLVABLE_WITH_WITNESS, result.representation.coefficients
+                )
+            return DiophantineAnswer(NO_SOLUTION)
+        if witness is not None:
+            return DiophantineAnswer(SOLVABLE_WITH_WITNESS, witness)
+        return DiophantineAnswer(NO_SOLUTION)
+    try:
+        witness = membership_bruteforce(system.generators, goal, budget)
+    except SearchBudgetExceededError:
+        return DiophantineAnswer(CONDITIONS_UNMET)
+    if witness is not None:
+        return DiophantineAnswer(SOLVABLE_WITH_WITNESS, witness)
+    return DiophantineAnswer(NO_SOLUTION)
+
+
+class TestDecideBeforeSearch:
+    BUDGETS = (0, 1, 5, 50, 10**6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 2), st.booleans())
+    def test_answers_match_the_search_first_order(self, seed, e, extras, conditioned):
+        rng = random.Random(seed)
+        if conditioned:
+            system, _, _ = random_conditioned_system(rng, e, extras, max_entry=8)
+        else:
+            system = random_system(rng, e, extras, max_entry=8)
+        top = [2 * sum(v[j] for v in system.generators) for j in range(e)]
+        for _ in range(6):
+            goal = tuple(rng.randint(0, t) for t in top)
+            for budget in self.BUDGETS:
+                assert diophantine_solve(system, goal, budget) == (
+                    diophantine_solve_search_first(system, goal, budget)
+                ), (system.generators, goal, budget)
+
+    def test_non_member_needs_no_search(self, numerical_example, monkeypatch):
+        import affsemi.frobenius
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran for a non-member")
+
+        system, _, _ = numerical_example
+        monkeypatch.setattr(affsemi.frobenius, "membership_bruteforce", no_search)
+        for gap in (1, 2, 3, 5, 9):
+            assert diophantine_solve(system, (gap,)).status == NO_SOLUTION

@@ -13,9 +13,15 @@ from affsemi import (
     multiple_order,
     standard_representation,
 )
-from affsemi.exactlinalg import gcd_maximal_minors
-from affsemi.lattice import add, scale, sub
-from tests.conftest import analyzed, make_system
+from affsemi.exactlinalg import (
+    IntMatrix,
+    gcd_maximal_minors,
+    lattice_basis,
+    solve_lower_triangular,
+    solve_square_integer,
+)
+from affsemi.lattice import StandardRepresentation, add, scale, sub
+from tests.conftest import analyzed, make_system, random_system
 
 
 def exhaustive_representation(system, chain, vector, bound=8):
@@ -35,6 +41,95 @@ def exhaustive_representation(system, chain, vector, bound=8):
             if candidate == remainder:
                 found.append(head + reduced)
     return found
+
+
+def residue_walk_representation(chain, vector, level):
+    """Reference: at each level try every residue below the index until the
+    rest falls into the group below."""
+    e = chain.system.ambient_dim
+    residual = tuple(vector)
+    reduced = []
+    for j in range(level, 0, -1):
+        generator = chain.system.generators[e + j - 1]
+        for residue in range(chain.indices[j - 1]):
+            candidate = sub(residual, scale(generator, residue))
+            if solve_lower_triangular(chain.bases[j - 1], candidate) is not None:
+                reduced.append(residue)
+                residual = candidate
+                break
+        else:
+            return None
+    head = solve_square_integer(chain.system.leading_matrix(), residual)
+    if head is None:
+        return None
+    return StandardRepresentation(level, head + tuple(reversed(reduced)))
+
+
+class TestTaggedChain:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3))
+    def test_residue_from_tags_matches_residue_walk(self, seed, e, extras):
+        rng = random.Random(seed)
+        system = random_system(rng, e, extras)
+        chain = build_chain(system)
+        gens = system.generators
+        for level in range(chain.level_count + 1):
+            for _ in range(12):
+                # Half of the points are in the level group by construction.
+                if rng.random() < 0.5:
+                    point = (0,) * e
+                    for v in gens[: e + level]:
+                        point = add(point, scale(v, rng.randint(-4, 4)))
+                else:
+                    point = tuple(rng.randint(-40, 40) for _ in range(e))
+                assert standard_representation(
+                    chain, point, level
+                ) == residue_walk_representation(chain, point, level)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3))
+    def test_levels_match_the_prefix_lattices(self, seed, e, extras):
+        rng = random.Random(seed)
+        system = random_system(rng, e, extras)
+        chain = build_chain(system)
+        gens = system.generators
+        for level in range(chain.level_count + 1):
+            prefix = gens[: e + level]
+            assert chain.bases[level] == lattice_basis(prefix)
+            assert chain.minor_gcds[level] == gcd_maximal_minors(
+                IntMatrix.from_columns(prefix)
+            )
+        for k in range(1, chain.level_count + 1):
+            generator = gens[e + k - 1]
+            tags = chain.tags[k - 1]
+            assert all(0 <= t < chain.indices[k - 1] for t in tags)
+            for column, tag in zip(chain.bases[k].columns(), tags):
+                assert chain.contains(sub(column, scale(generator, tag)), k - 1)
+        for level in range(chain.level_count + 1):
+            vector = tuple(rng.randint(-15, 15) for _ in range(e))
+            if not any(vector):
+                continue
+            extended = chain.bases[level].with_column(vector)
+            assert multiple_order(chain, vector, level) == (
+                chain.minor_gcds[level] // gcd_maximal_minors(extended)
+            )
+
+    def test_trailing_rows_ride_along(self):
+        # (4,) and (6,) span 2Z; the tag rows record 2 = 6 - 4 and the
+        # pivot row alone decides the basis.
+        tagged = lattice_basis([(4, 1, 0), (6, 0, 1)], rank=1)
+        assert tagged.rows == ((2,), (-1,), (1,))
+
+    def test_large_index_without_walking_it(self):
+        p = 10**12 + 39
+        system = make_system([(p,), (p + 2,)])
+        chain = build_chain(system)
+        assert chain.indices == (p,)
+        g = p * (p + 2) - p - (p + 2)
+        representation = standard_representation(chain, (g,))
+        assert representation.vector(system) == (g,)
+        assert 0 <= representation.coefficients[1] < p
+        assert representation.coefficients[0] < 0
 
 
 class TestBuildChain:

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affsemi import (
     BoxSpec,
@@ -19,7 +21,15 @@ from affsemi import (
     verify_conductor,
     verify_theorem1,
 )
-from affsemi.oracle import _reachable_set_sparse
+from affsemi.frobenius import conductor_set, frobenius_formula
+from affsemi.lattice import add, scale, sub
+from affsemi.oracle import (
+    _box_points,
+    _close_under_generators,
+    _coprime_values,
+    _cone_numerators,
+    _reachable_set_sparse,
+)
 from tests.conftest import analyzed, make_system
 
 
@@ -239,3 +249,118 @@ class TestRandomSystems:
             assert all(
                 all(0 <= x <= 20 for x in v) for v in system.generators
             )
+
+
+def numerical_gaps_by_scan(generators):
+    """Reference: the same self-extending sieve filled one integer at a
+    time."""
+    values = _coprime_values(generators)
+    smallest = values[0]
+    if smallest == 1:
+        return ()
+    limit = values[-1] * smallest + 1
+    while True:
+        table = bytearray(limit + 1)
+        table[0] = 1
+        for n in range(1, limit + 1):
+            for v in values:
+                if v <= n and table[n - v]:
+                    table[n] = 1
+                    break
+        run = 0
+        for n in range(limit + 1):
+            run = run + 1 if table[n] else 0
+            if run == smallest:
+                first_safe = n - smallest + 1
+                return tuple(m for m in range(1, first_safe) if not table[m])
+        limit *= 2
+
+
+def _closure_from_one(seed, system, upper):
+    grid = np.zeros(tuple(u + 1 for u in upper), dtype=bool)
+    if all(0 <= seed[j] <= upper[j] for j in range(len(upper))):
+        grid[seed] = True
+        _close_under_generators(grid, system.generators, upper)
+    return grid
+
+
+def verify_conductor_pointwise(system, chain, conductor, margin=3):
+    """Reference: cone coordinates of every shifted box and one closure per
+    conductor point."""
+    if chain.minor_gcds[-1] != 1:
+        raise NotFullLatticeError("needs generators spanning all of Z^e")
+    e = system.ambient_dim
+    conductor_points = [tuple(c) for c in conductor]
+    g = frobenius_formula(system, chain)
+    offsets = [sub(c, g) for c in conductor_points]
+    envelope = system.leading()[0]
+    for v in system.leading()[1:]:
+        envelope = add(envelope, v)
+    points = _box_points((0,) * e, scale(envelope, margin))
+    interior = np.all(_cone_numerators(system, points) > 0, axis=1)
+    covered = np.zeros(len(points), dtype=bool)
+    for w in offsets:
+        diffs = points - np.array(w, dtype=np.int64)
+        covered |= np.all(_cone_numerators(system, diffs) >= 0, axis=1)
+    if bool(np.any(interior & ~covered)):
+        return False
+    total = (0,) * e
+    for v in system.generators:
+        total = add(total, v)
+    top = tuple(
+        max(c[j] for c in conductor_points) + margin * total[j] for j in range(e)
+    )
+    gamma = reachable_grid(system, top)
+    for c in conductor_points:
+        if any(x < 0 for x in c):
+            return False
+        if bool(np.any(_closure_from_one(c, system, top) & ~gamma)):
+            return False
+    return True
+
+
+def conductor_variants(system, conductor, g, rng):
+    """The true conductor and perturbations of it, most of them wrong."""
+    e = system.ambient_dim
+    unit = [tuple(int(i == j) for i in range(e)) for j in range(e)]
+    pick = rng.randrange(len(conductor))
+    variants = [
+        list(conductor),
+        [g],
+        [sub(c, system.generators[0]) for c in conductor],
+        list(conductor) + [tuple(-1 if j == 0 else x for j, x in enumerate(g))],
+    ]
+    if len(conductor) > 1:
+        variants.append([c for i, c in enumerate(conductor) if i != pick])
+    for u in unit:
+        variants.append([sub(c, u) if i == pick else c for i, c in enumerate(conductor)])
+        variants.append([add(c, u) if i == pick else c for i, c in enumerate(conductor)])
+    return variants
+
+
+class TestVectorisedChecksMatchReferences:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(1, 70), min_size=1, max_size=4))
+    def test_gap_sieve(self, values):
+        import math
+
+        if math.gcd(*values) != 1:
+            values = values + [max(values) + 1]
+        assert numerical_gaps_dp(values) == numerical_gaps_by_scan(values)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 2), st.integers(1, 3))
+    def test_conductor_verdicts(self, seed, e, extras, margin):
+        rng = random.Random(seed)
+        while True:
+            system, chain, report = random_conditioned_system(
+                rng, e, extras, max_entry=5 if e == 3 else 7
+            )
+            if chain.minor_gcds[-1] == 1:
+                break
+        g = frobenius_vector(system, chain, report).vector
+        conductor = conductor_set(system, chain, g)
+        for variant in conductor_variants(system, conductor, g, rng):
+            assert verify_conductor(system, chain, variant, margin) == (
+                verify_conductor_pointwise(system, chain, variant, margin)
+            ), (system.generators, variant, margin)
