@@ -61,8 +61,8 @@ from .singularities import (
 )
 
 
-#: Skip gap enumeration in analysis documents beyond this sieve length.
-GAP_SIEVE_LIMIT = 10**7
+#: Skip gap enumeration in analysis documents beyond this many integers.
+GAP_LIST_LIMIT = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +283,15 @@ def _analysis_document(
         document["conductor"] = [_sv(c) for c in frobenius_report.conductor]
     if system.ambient_dim == 1 and chain.minor_gcds[-1] == 1:
         values = [v[0] for v in system.generators]
-        sieve_span = (
+        gap_span = (
             frobenius_report.vector[0] + 1
             if not frobenius_report.threshold_only
             else min(values) * max(values)
         )
-        if sieve_span > GAP_SIEVE_LIMIT:
+        if gap_span > GAP_LIST_LIMIT:
             diagnostics.append(
                 "gap enumeration skipped: the conductor region has about "
-                f"{sieve_span} integers"
+                f"{gap_span} integers"
             )
             return document
         gap_list = gaps(system, chain)
@@ -383,7 +383,7 @@ def cmd_analyze(args) -> int:
     document = _analysis_document(system, chain, report, frob, diagnostics)
     if document.get("true_frobenius_number") is not None:
         document["diagnostics"] = diagnostics + [
-            f"sieve gives the exact frobenius number "
+            f"the gap list gives the exact frobenius number "
             f"{document['true_frobenius_number']}"
         ]
     _render(document, args.format, _human_analysis(document))
@@ -399,11 +399,11 @@ def cmd_member(args) -> int:
     point = _parse_vector(args.point)
     chain = build_chain(system)
     report = validate_conditions(system, chain, args.budget)
-    representation = standard_representation(chain, point)
     diagnostics: list[str] = []
     if report.all_hold:
         result = membership_fast(system, chain, point, report)
         method = "fast"
+        representation = result.representation
         in_group = result.in_group
         in_semigroup = result.in_semigroup
         witness = (
@@ -425,6 +425,7 @@ def cmd_member(args) -> int:
             )
     else:
         method = "bruteforce"
+        representation = standard_representation(chain, point)
         in_group = representation is not None
         witness = membership_bruteforce(system.generators, point, args.budget)
         in_semigroup = witness is not None
@@ -497,7 +498,7 @@ def cmd_curve(args) -> int:
     data = curve_semigroup(CurveExponents(n, tuple(m)))
     gap_list = (
         numerical_gaps(data.generators)
-        if data.conductor <= GAP_SIEVE_LIMIT
+        if data.conductor <= GAP_LIST_LIMIT
         else None
     )
     document = {

@@ -21,16 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import ConditionsUnmetError, NotFullLatticeError, SearchBudgetExceededError
-from .exactlinalg import (
-    Vector,
-    adjugate,
-    as_int,
-    as_vector,
-    cramer_numerators,
-    determinant,
-    lattice_basis,
-    solve_lower_triangular,
-)
+from .exactlinalg import Vector, as_int, as_vector, lattice_basis
 from .lattice import (
     GeneratorSystem,
     LatticeChain,
@@ -55,9 +46,9 @@ CONDITIONS_UNMET = "conditions_unmet"
 #: Default node budget for the bounded search in diophantine_solve.
 DEFAULT_SEARCH_BUDGET = 10**7
 
-#: Largest bounding box of the fundamental parallelepiped, in points, for
-#: which the conductor set is enumerated (dimension >= 2 only; dimension 1 is
-#: closed-form).  The enumeration itself visits |det| <= box points.
+#: Largest |det| of the leading generators, the number of points the
+#: conductor enumeration visits, for which the conductor set is enumerated
+#: (dimension >= 2 only; dimension 1 is closed-form).
 CONDUCTOR_ENUMERATION_LIMIT = 2_000_000
 
 
@@ -106,23 +97,23 @@ def frobenius_formula(system: GeneratorSystem, chain: LatticeChain) -> Vector:
 def frobenius_vector(
     system: GeneratorSystem,
     chain: LatticeChain,
-    conditions: Optional[ConditionReport] = None,
+    conditions: ConditionReport,
 ) -> FrobeniusReport:
     """Frobenius vector of the semigroup, requiring both chain conditions.
 
-    The report also records the two defining facts (the vector is in the
-    group but not in the semigroup, the latter re-checked through the
-    standard representation) and, when the generators span all of Z^e, the
-    conductor set.
+    ``conditions`` is the report of ``validate_conditions`` on the same
+    system.  The result also records the two defining facts (the vector is
+    in the group but not in the semigroup, the latter re-checked through
+    the standard representation) and, when the generators span all of Z^e
+    and |det| is within ``CONDUCTOR_ENUMERATION_LIMIT``, the conductor set.
     """
-    report = conditions if conditions is not None else chain.conditions
-    if report is None or not report.all_hold:
+    if not conditions.all_hold:
         raise ConditionsUnmetError(
-            "frobenius_vector requires both chain conditions", report=report
+            "frobenius_vector requires both chain conditions", report=conditions
         )
     g = frobenius_formula(system, chain)
     # Defensive re-check through the sign criterion, O(e^2) per level.
-    membership = membership_fast(system, chain, g, report)
+    membership = membership_fast(system, chain, g, conditions)
     if not membership.in_group or membership.in_semigroup:
         raise AssertionError(
             "the Frobenius vector must be a group element outside the "
@@ -130,13 +121,12 @@ def frobenius_vector(
         )
     conductor = None
     if chain.minor_gcds[-1] == 1 and (
-        system.ambient_dim == 1
-        or _parallelepiped_size(system) <= CONDUCTOR_ENUMERATION_LIMIT
+        system.ambient_dim == 1 or abs(system.det) <= CONDUCTOR_ENUMERATION_LIMIT
     ):
         conductor = conductor_set(system, chain, g)
     return FrobeniusReport(
         vector=g,
-        conditions=report,
+        conditions=conditions,
         conductor=conductor,
         vector_in_group=membership.in_group,
         vector_in_semigroup=membership.in_semigroup,
@@ -153,16 +143,18 @@ def frobenius_subset(
     which every group element is in the (full) semigroup.  The result is
     flagged as threshold-only when anything was dropped, since the true
     Frobenius vector of the full system may be smaller.
+
+    The dropped generators are those of index 1 in the full chain: each lies
+    in the group of the kept ones before it, so every kept prefix spans the
+    same group as the full prefix.
     """
     e = system.ambient_dim
-    kept: list[int] = []
-    current = list(system.leading())
-    for k, extra in enumerate(system.extras(), start=1):
-        basis = lattice_basis(current)
-        if solve_lower_triangular(basis, extra) is None:
-            kept.append(k)
-            current.append(extra)
-    subsystem = GeneratorSystem(e, tuple(current))
+    indices = build_chain(system).indices
+    kept = tuple(k for k, index in enumerate(indices, start=1) if index > 1)
+    extras = system.extras()
+    subsystem = GeneratorSystem(
+        e, system.leading() + tuple(extras[k - 1] for k in kept)
+    )
     chain = build_chain(subsystem)
     report = validate_conditions(subsystem, chain, search_budget)
     if not report.all_hold:
@@ -173,7 +165,7 @@ def frobenius_subset(
     base = frobenius_vector(subsystem, chain, report)
     if len(kept) == system.extra_count:
         return base
-    return replace(base, threshold_only=True, used_subset=tuple(kept))
+    return replace(base, threshold_only=True, used_subset=kept)
 
 
 def beyond_frobenius(
@@ -189,24 +181,12 @@ def beyond_frobenius(
     difference = sub(as_vector(vector), as_vector(g))
     if not any(difference):
         return False
-    leading = system.leading_matrix()
-    det = determinant(leading)
-    return all(n * det > 0 for n in cramer_numerators(leading, difference))
+    return all(c > 0 for c in system.cone_coordinates(difference))
 
 
 def in_closed_cone(system: GeneratorSystem, vector: Sequence[int]) -> bool:
     """Whether ``vector`` lies in the closed cone of the leading generators."""
-    leading = system.leading_matrix()
-    det = determinant(leading)
-    return all(n * det >= 0 for n in cramer_numerators(leading, vector))
-
-
-def _parallelepiped_size(system: GeneratorSystem) -> int:
-    """Points of the bounding box of the fundamental parallelepiped."""
-    e = system.ambient_dim
-    return math.prod(
-        sum(v[j] for v in system.leading()) + 1 for j in range(e)
-    )
+    return all(c >= 0 for c in system.cone_coordinates(vector))
 
 
 def minimal_cone_points(system: GeneratorSystem) -> tuple[Vector, ...]:
@@ -239,13 +219,12 @@ def minimal_cone_points(system: GeneratorSystem) -> tuple[Vector, ...]:
     if e == 1:
         # The parallelepiped is (0, v_1] and 1 divides into everything.
         return ((1,),)
-    if _parallelepiped_size(system) > CONDUCTOR_ENUMERATION_LIMIT:
+    bound = abs(system.det)
+    if bound > CONDUCTOR_ENUMERATION_LIMIT:
         raise ValueError(
-            "fundamental parallelepiped too large to enumerate "
-            f"({_parallelepiped_size(system)} box points)"
+            f"fundamental parallelepiped too large to enumerate ({bound} points)"
         )
     leading = system.leading()
-    bound = abs(determinant(system.leading_matrix()))
     coordinates = _parallelepiped_coordinates(system)
     minimal = _pareto_sweep(coordinates) if e == 2 else _pareto_skyline(coordinates)
     # Back from coordinates to points: u = sum c_i v_i / |det|, exactly.
@@ -266,15 +245,16 @@ def _parallelepiped_coordinates(system: GeneratorSystem) -> list[Vector]:
     moves r into the parallelepiped and its coordinates to
     c_i(r) - |det| k_i = (c_i(r) - 1) mod |det| + 1.
     """
-    leading = system.leading_matrix()
-    det = determinant(leading)
-    bound = abs(det)
-    sign = 1 if det > 0 else -1
-    adj = [[sign * a for a in row] for row in adjugate(leading).rows]
+    bound = abs(system.det)
     basis = lattice_basis(system.leading())
     diagonal = [basis.rows[i][i] for i in range(basis.nrows)]
+    # ``system.cone_map`` is applied inline: the argument checks of
+    # ``cone_coordinates`` would double the cost of this loop.
     return [
-        tuple((sum(a * x for a, x in zip(row, r)) - 1) % bound + 1 for row in adj)
+        tuple(
+            (sum(a * x for a, x in zip(row, r)) - 1) % bound + 1
+            for row in system.cone_map
+        )
         for r in itertools.product(*(range(h) for h in diagonal))
     ]
 
@@ -424,13 +404,11 @@ def diophantine_solve(
     if not chain.contains(goal, chain.level_count):
         return DiophantineAnswer(LATTICE_INFEASIBLE)
     if conditions.all_hold:
-        g = frobenius_formula(system, chain)
-        if beyond_frobenius(system, g, goal):
-            result = membership_fast(system, chain, goal, conditions)
+        result = membership_fast(system, chain, goal, conditions)
+        if beyond_frobenius(system, frobenius_formula(system, chain), goal):
             if not result.in_semigroup:
                 raise AssertionError("cone position must certify membership")
             return DiophantineAnswer(SOLVABLE_BY_CONE, result.representation.coefficients)
-        result = membership_fast(system, chain, goal, conditions)
         if not result.in_semigroup:
             return DiophantineAnswer(NO_SOLUTION)
         try:

@@ -14,16 +14,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import InvalidGeneratorsError
+from .errors import DimensionError, InvalidGeneratorsError
 from .exactlinalg import (
     IntMatrix,
     Vector,
+    adjugate,
     as_vector,
-    cramer_numerators,
     determinant,
     lattice_basis,
     solve_lower_triangular,
-    solve_square_integer,
 )
 
 
@@ -49,10 +48,17 @@ class GeneratorSystem:
       ``ambient_dim``;
     * the leading ``ambient_dim`` generators span R^e;
     * every later generator lies in the (closed) cone of the leading ones.
+
+    ``det`` is the determinant of the leading block B (columns v_1 .. v_e)
+    and ``cone_map`` its adjugate times sign(det), so that
+    ``cone_coordinates`` is |det| B^-1; both are derived from the generators
+    and take no part in equality or hashing.
     """
 
     ambient_dim: int
     generators: tuple[Vector, ...]
+    det: int = field(init=False, repr=False, compare=False)
+    cone_map: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = self.ambient_dim
@@ -81,9 +87,13 @@ class GeneratorSystem:
             raise InvalidGeneratorsError(
                 f"the leading {e} generators do not span R^{e}"
             )
+        sign = 1 if det > 0 else -1
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "cone_map", tuple(
+            tuple(sign * a for a in row) for row in adjugate(leading).rows
+        ))
         for i, v in enumerate(gens[e:], start=e + 1):
-            nums = cramer_numerators(leading, v)
-            if any(n * det < 0 for n in nums):
+            if any(c < 0 for c in self.cone_coordinates(v)):
                 raise InvalidGeneratorsError(
                     f"generator {i} lies outside the cone of the leading {e}"
                 )
@@ -109,6 +119,18 @@ class GeneratorSystem:
     def leading_matrix(self) -> IntMatrix:
         return IntMatrix.from_columns(self.leading())
 
+    def cone_coordinates(self, vector: Sequence[int]) -> Vector:
+        """|det| B^-1 v, the integer-scaled coordinates of ``vector`` over
+        the leading generators: all >= 0 in the closed cone, all > 0 in the
+        open cone, all divisible by |det| in their lattice.
+        """
+        v = as_vector(vector)
+        if len(v) != self.ambient_dim:
+            raise DimensionError(
+                f"vector has length {len(v)}, expected {self.ambient_dim}"
+            )
+        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.cone_map)
+
 
 @dataclass(frozen=True)
 class StandardRepresentation:
@@ -131,7 +153,7 @@ class StandardRepresentation:
         return self.coefficients[: system.ambient_dim]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticeChain:
     """The chain of groups obtained by adjoining extra generators one by one.
 
@@ -142,10 +164,6 @@ class LatticeChain:
     ``tags[k-1][i]`` is the coefficient, modulo ``indices[k-1]``, of the k-th
     extra generator in column i of ``bases[k]``: that column minus the tag
     times the generator lies in the level k-1 group.
-
-    ``witnesses`` and ``conditions`` start empty and are filled in exactly
-    once by ``semigroup.validate_conditions``; after that the object is
-    effectively immutable and safe to share between threads.
     """
 
     system: GeneratorSystem
@@ -153,15 +171,10 @@ class LatticeChain:
     indices: tuple[int, ...]
     bases: tuple[IntMatrix, ...]
     tags: tuple[Vector, ...]
-    witnesses: list[Optional[Vector]] = field(default_factory=list)
-    conditions: Optional[object] = None
 
     @property
     def level_count(self) -> int:
         return len(self.indices)
-
-    def covolume(self, level: int) -> int:
-        return self.minor_gcds[level]
 
     def contains(self, vector: Sequence[int], level: int) -> bool:
         """Fast group-membership test via the Hermite basis."""
@@ -196,7 +209,6 @@ def build_chain(system: GeneratorSystem) -> LatticeChain:
         indices=tuple(indices),
         bases=tuple(bases),
         tags=tuple(tags),
-        witnesses=[None] * system.extra_count,
     )
 
 
@@ -264,8 +276,9 @@ def standard_representation(
     lands in the level j-1 group.  Writing the vector as y over the Hermite
     basis of level j (forward substitution), that residue is
     sum(y_i * tag_i) mod index_j, so each level costs O(e^2) whatever its
-    index.  The leading coefficients come from the square integer solve at
-    the bottom.  Returns None when ``vector`` is not in the level group.
+    index.  The leading coefficients are the cone coordinates of what is
+    left, divided by |det|.  Returns None when ``vector`` is not in the
+    level group.
     """
     if level is None:
         level = chain.level_count
@@ -287,11 +300,13 @@ def standard_representation(
         reduced.append(residue)
         if residue:
             residual = sub(residual, scale(chain.system.generators[e + j - 1], residue))
-    head = solve_square_integer(chain.system.leading_matrix(), residual)
-    if head is None:
+    bound = abs(chain.system.det)
+    coordinates = chain.system.cone_coordinates(residual)
+    if any(c % bound for c in coordinates):
         # Only reachable at level 0; at higher levels the residual is
         # already certified to lie in the level-0 group.
         return None
+    head = tuple(c // bound for c in coordinates)
     return StandardRepresentation(level, head + tuple(reversed(reduced)))
 
 

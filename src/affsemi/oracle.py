@@ -284,7 +284,10 @@ def _system_bound(system: GeneratorSystem) -> int:
 
 
 def fast_membership_grid(
-    system: GeneratorSystem, chain: LatticeChain, upper: Sequence[int]
+    system: GeneratorSystem,
+    chain: LatticeChain,
+    upper: Sequence[int],
+    conditions: ConditionReport,
 ) -> np.ndarray:
     """Sign-criterion membership verdict for every point of [0, upper].
 
@@ -292,9 +295,10 @@ def fast_membership_grid(
     each residue class modulo the leading-generator lattice, so one scalar
     representation per class (of which there are only index-product many
     among group points) extends to the whole grid by exact integer affine
-    arithmetic.  Produces exactly the verdicts of ``membership_fast``.
+    arithmetic.  Produces exactly the verdicts of ``membership_fast``, and
+    like it takes the report of ``validate_conditions``.
     """
-    if chain.conditions is None or not chain.conditions.all_hold:
+    if not conditions.all_hold:
         raise ValueError("fast_membership_grid requires validated conditions")
     up = as_vector(upper)
     e = system.ambient_dim

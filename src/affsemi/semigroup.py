@@ -79,9 +79,9 @@ def validate_conditions(
 ) -> ConditionReport:
     """Check both chain conditions, reporting rather than raising on failure.
 
-    Scaled-membership witnesses are found by ``membership_bruteforce`` and
-    copied onto the chain.  Any valid witness is acceptable; the search is
-    deterministic, so reruns reproduce the same one.
+    Scaled-membership witnesses are found by ``membership_bruteforce``.  Any
+    valid witness is acceptable; the search is deterministic, so reruns
+    reproduce the same one.
     """
     violation = None
     for k in range(1, len(chain.minor_gcds)):
@@ -101,37 +101,31 @@ def validate_conditions(
         if witness is not None and _evaluate(predecessors, witness) != target:
             raise AssertionError("bruteforce returned an invalid witness")
         checks.append(ScaledMembershipCheck(k, witness is not None, witness))
-        chain.witnesses[k - 1] = witness
-    report = ConditionReport(
+    return ConditionReport(
         strict_chain=violation is None,
         strict_chain_violation=violation,
         scaled=tuple(checks),
     )
-    chain.conditions = report
-    return report
 
 
 def membership_fast(
     system: GeneratorSystem,
     chain: LatticeChain,
     vector: Sequence[int],
-    conditions: Optional[ConditionReport] = None,
+    conditions: ConditionReport,
 ) -> MembershipResult:
     """Membership via the sign pattern of the standard representation.
 
-    Requires both chain conditions; refuses (rather than silently degrading)
-    when they fail, because the sign criterion is only valid under them.
+    ``conditions`` is the report of ``validate_conditions`` on the same
+    system.  Requires both chain conditions; refuses (rather than silently
+    degrading) when they fail, because the sign criterion is only valid
+    under them.
     """
-    report = conditions if conditions is not None else chain.conditions
-    if report is None:
-        raise ConditionsUnmetError(
-            "validate_conditions must run before membership_fast"
-        )
-    if not report.all_hold:
+    if not conditions.all_hold:
         raise ConditionsUnmetError(
             "membership_fast requires both chain conditions; "
             "use membership_bruteforce instead",
-            report=report,
+            report=conditions,
         )
     representation = standard_representation(chain, vector)
     if representation is None:

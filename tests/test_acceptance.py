@@ -99,8 +99,8 @@ def test_criterion_02_axes_example():
         assert document["chain"]["indices"] == ["4", "2"]
         assert document["frobenius"]["vector"] == ["10", "6"]
         assert document["conductor"] is None
-        system, chain, _ = analyzed([(8, 0), (0, 8), (2, 2), (12, 8)])
-        result = membership_fast(system, chain, (10, 14))
+        system, chain, report = analyzed([(8, 0), (0, 8), (2, 2), (12, 8)])
+        result = membership_fast(system, chain, (10, 14), report)
         assert result.in_group and not result.in_semigroup
         assert not beyond_frobenius(system, (10, 6), (10, 14))
 
@@ -194,7 +194,7 @@ def test_criterion_09_membership_paths_agree(conditioned_pool):
             upper = tuple(
                 3 * sum(v[j] for v in system.generators) for j in range(e)
             )
-            fast = fast_membership_grid(system, chain, upper)
+            fast = fast_membership_grid(system, chain, upper, report)
             enumerated = reachable_grid(system, upper)
             assert np.array_equal(fast, enumerated), system.generators
             # Spot checks tie the grids back to the two scalar paths: the
@@ -204,7 +204,7 @@ def test_criterion_09_membership_paths_agree(conditioned_pool):
                 point = tuple(rng.randint(0, u) for u in spot_upper)
                 witness = membership_bruteforce(system.generators, point)
                 assert (witness is not None) == bool(enumerated[point]), point
-                scalar = membership_fast(system, chain, point).in_semigroup
+                scalar = membership_fast(system, chain, point, report).in_semigroup
                 assert scalar == bool(fast[point]), point
 
 

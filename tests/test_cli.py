@@ -76,6 +76,13 @@ class TestAnalyze:
         assert "true frobenius number: 5" in out
         assert "need not be minimal" in out
 
+    def test_skewed_unimodular_cone_gets_a_conductor(self):
+        code, out, _ = run_cli(["analyze", "1000,999", "999,998", "--format", "machine"])
+        assert code == 0
+        document = json.loads(out)
+        assert document["frobenius"]["vector"] == ["-1999", "-1997"]
+        assert document["conductor"] == [["0", "0"]]
+
     def test_degenerate_without_subset_flag_fails(self):
         code, out, _ = run_cli(["analyze", "4", "6", "7", "9"])
         assert code == 3

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -40,7 +41,15 @@ from affsemi.frobenius import (
     in_closed_cone,
     numerical_gaps,
 )
-from affsemi.exactlinalg import IntMatrix, adjugate, cramer_numerators, determinant
+from affsemi import frobenius
+from affsemi.exactlinalg import (
+    IntMatrix,
+    adjugate,
+    cramer_numerators,
+    determinant,
+    lattice_basis,
+    solve_lower_triangular,
+)
 from affsemi.oracle import numerical_gaps_dp
 from affsemi.lattice import GeneratorSystem, add, scale, sub
 from tests.conftest import analyzed, make_system, random_system
@@ -75,7 +84,7 @@ class TestFrobeniusVector:
     def test_vector_outside_semigroup_both_paths(self, unimodular_example):
         system, chain, report = unimodular_example
         g = frobenius_vector(system, chain, report).vector
-        assert not membership_fast(system, chain, g).in_semigroup
+        assert not membership_fast(system, chain, g, report).in_semigroup
         assert membership_bruteforce(system.generators, g) is None
 
     def test_requires_conditions(self):
@@ -109,6 +118,55 @@ class TestFrobeniusSubset:
         assert report.used_subset == (1, 3)
         assert report.vector == (9,)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 4))
+    def test_matches_the_prefix_loop(self, seed, e, extras):
+        system = random_system(random.Random(seed), e, extras, max_entry=8)
+        try:
+            expected = prefix_loop_subset(system)
+        except ConditionsUnmetError:
+            with pytest.raises(ConditionsUnmetError):
+                frobenius_subset(system)
+            return
+        assert frobenius_subset(system) == expected
+
+
+def prefix_loop_subset(system):
+    """Reference: re-reduce the growing prefix of kept generators and keep
+    an extra generator exactly when it leaves that prefix's group."""
+    kept = []
+    current = list(system.leading())
+    for k, extra in enumerate(system.extras(), start=1):
+        if solve_lower_triangular(lattice_basis(current), extra) is None:
+            kept.append(k)
+            current.append(extra)
+    subsystem = GeneratorSystem(system.ambient_dim, tuple(current))
+    chain = build_chain(subsystem)
+    report = validate_conditions(subsystem, chain)
+    if not report.all_hold:
+        raise ConditionsUnmetError("the filtered subset fails", report=report)
+    base = frobenius_vector(subsystem, chain, report)
+    if len(kept) == system.extra_count:
+        return base
+    return replace(base, threshold_only=True, used_subset=tuple(kept))
+
+
+def cramer_in_closed_cone(system, vector):
+    """Reference: the closed-cone test by Cramer's rule."""
+    leading = system.leading_matrix()
+    det = determinant(leading)
+    return all(n * det >= 0 for n in cramer_numerators(leading, vector))
+
+
+def cramer_beyond_frobenius(system, g, vector):
+    """Reference: the open-cone test of vector - g by Cramer's rule."""
+    difference = sub(vector, g)
+    if not any(difference):
+        return False
+    leading = system.leading_matrix()
+    det = determinant(leading)
+    return all(n * det > 0 for n in cramer_numerators(leading, difference))
+
 
 class TestBeyondFrobenius:
     def test_boundary_cell_excluded(self, axes_example):
@@ -124,6 +182,28 @@ class TestBeyondFrobenius:
         g = (39, 53)
         inside = add(add(g, system.generators[0]), system.generators[1])
         assert beyond_frobenius(system, g, inside)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(0, 2))
+    def test_cone_tests_match_cramer_references(self, seed, e, extras):
+        rng = random.Random(seed)
+        system = random_system(rng, e, extras)
+        g = tuple(rng.randint(-10, 10) for _ in range(e))
+        for _ in range(20):
+            if rng.random() < 0.5:
+                vector = tuple(rng.randint(-30, 30) for _ in range(e))
+            else:
+                # g plus a combination of the leading generators with some
+                # zero coefficients: on a face of the cone at g, or inside.
+                vector = g
+                for v in system.leading():
+                    vector = add(vector, scale(v, rng.choice([0, 0, 1, 2])))
+            assert in_closed_cone(system, vector) == cramer_in_closed_cone(
+                system, vector
+            )
+            assert beyond_frobenius(system, g, vector) == cramer_beyond_frobenius(
+                system, g, vector
+            )
 
 
 class TestConductor:
@@ -156,6 +236,26 @@ class TestConductor:
     def test_single_minimal_point_for_skew_cone(self, skew_example):
         system, _, _ = skew_example
         assert minimal_cone_points(system) == ((1, 1),)
+
+    def test_skewed_unimodular_cone_is_enumerated(self):
+        # |det| = 1 but a bounding box of 2000 x 1998 points: the one point
+        # of the parallelepiped is v_1 + v_2, so the conductor is the origin.
+        system, chain, report = analyzed([(1000, 999), (999, 998)])
+        assert minimal_cone_points(system) == ((1999, 1997),)
+        assert frobenius_vector(system, chain, report).conductor == ((0, 0),)
+
+    def test_cap_is_keyed_on_the_determinant(self, monkeypatch):
+        # |det| = 24 for the leading block, whose bounding box has 110
+        # points; (1, 1) completes a basis of Z^2.
+        system, chain, report = analyzed([(4, 6), (6, 3), (1, 1)])
+        assert abs(system.det) == 24 and chain.minor_gcds[-1] == 1
+        monkeypatch.setattr(frobenius, "CONDUCTOR_ENUMERATION_LIMIT", 24)
+        assert minimal_cone_points(system) == ((1, 1),)
+        assert frobenius_vector(system, chain, report).conductor is not None
+        monkeypatch.setattr(frobenius, "CONDUCTOR_ENUMERATION_LIMIT", 23)
+        with pytest.raises(ValueError):
+            minimal_cone_points(system)
+        assert frobenius_vector(system, chain, report).conductor is None
 
 
 def box_scan_minimal_points(system):

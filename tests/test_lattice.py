@@ -13,8 +13,11 @@ from affsemi import (
     multiple_order,
     standard_representation,
 )
+from affsemi.errors import DimensionError
 from affsemi.exactlinalg import (
     IntMatrix,
+    cramer_numerators,
+    determinant,
     gcd_maximal_minors,
     lattice_basis,
     solve_lower_triangular,
@@ -198,6 +201,41 @@ class TestSystemValidation:
 
     def test_boundary_of_cone_accepted(self):
         GeneratorSystem(2, ((2, 1), (1, 2), (4, 2)))
+
+
+class TestConeMap:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(0, 3))
+    def test_cone_coordinates_are_signed_cramer_numerators(self, seed, e, extras):
+        rng = random.Random(seed)
+        system = random_system(rng, e, extras)
+        systems = [system]
+        if e >= 2:
+            # The same cone with the first two leading generators swapped:
+            # det changes sign, the cone coordinates only swap.
+            gens = system.generators
+            systems.append(GeneratorSystem(e, (gens[1], gens[0]) + gens[2:]))
+        for candidate in systems:
+            leading = candidate.leading_matrix()
+            det = determinant(leading)
+            sign = 1 if det > 0 else -1
+            assert candidate.det == det
+            for _ in range(12):
+                vector = tuple(rng.randint(-40, 40) for _ in range(e))
+                assert candidate.cone_coordinates(vector) == tuple(
+                    sign * n for n in cramer_numerators(leading, vector)
+                )
+
+    def test_cached_map_takes_no_part_in_equality(self):
+        a = GeneratorSystem(2, ((1, 3), (3, 2), (1, 1)))
+        b = GeneratorSystem.from_vectors([(1, 3), (3, 2), (1, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert "cone_map" not in repr(a)
+
+    def test_wrong_length_rejected(self, skew_example):
+        system, _, _ = skew_example
+        with pytest.raises(DimensionError):
+            system.cone_coordinates((1, 2, 3))
 
 
 class TestGroupMembership:

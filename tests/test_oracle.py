@@ -213,10 +213,10 @@ class TestFastMembershipGrid:
             )
             e = system.ambient_dim
             upper = (17,) * e
-            grid = fast_membership_grid(system, chain, upper)
+            grid = fast_membership_grid(system, chain, upper, report)
             for _ in range(60):
                 point = tuple(rng.randint(0, 17) for _ in range(e))
-                scalar = membership_fast(system, chain, point).in_semigroup
+                scalar = membership_fast(system, chain, point, report).in_semigroup
                 assert bool(grid[point]) == scalar, point
 
     def test_equals_reachability_grid(self):
@@ -229,7 +229,7 @@ class TestFastMembershipGrid:
             upper = tuple(
                 3 * sum(v[j] for v in system.generators) for j in range(e)
             )
-            fast = fast_membership_grid(system, chain, upper)
+            fast = fast_membership_grid(system, chain, upper, report)
             dp = reachable_grid(system, upper)
             assert np.array_equal(fast, dp)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from affsemi import (
     ConditionsUnmetError,
     SearchBudgetExceededError,
+    build_chain,
     membership_bruteforce,
     membership_fast,
 )
@@ -61,26 +63,27 @@ class TestValidateConditions:
         assert not report.strict_chain
         assert report.strict_chain_violation == 3
 
-    def test_witnesses_copied_to_chain(self, skew_example):
-        _, chain, report = skew_example
-        assert chain.witnesses == [c.witness for c in report.scaled]
-        assert chain.conditions is report
+    def test_chain_frozen_and_unchanged_by_validation(self, skew_example):
+        system, chain, _ = skew_example
+        assert chain == build_chain(system)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chain.indices = ()
 
 
 class TestMembershipFast:
     def test_frobenius_number_not_member(self, numerical_example):
-        system, chain, _ = numerical_example
-        result = membership_fast(system, chain, (9,))
+        system, chain, report = numerical_example
+        result = membership_fast(system, chain, (9,), report)
         assert result.in_group and not result.in_semigroup
         assert result.representation.coefficients == (-1, 1, 1)
 
     def test_conductor_is_member(self, numerical_example):
-        system, chain, _ = numerical_example
-        assert membership_fast(system, chain, (10,)).in_semigroup
+        system, chain, report = numerical_example
+        assert membership_fast(system, chain, (10,), report).in_semigroup
 
     def test_boundary_shift_not_member(self, axes_example):
-        system, chain, _ = axes_example
-        result = membership_fast(system, chain, (10, 14))
+        system, chain, report = axes_example
+        result = membership_fast(system, chain, (10, 14), report)
         assert result.in_group and not result.in_semigroup
 
     def test_requires_conditions(self):
@@ -89,8 +92,8 @@ class TestMembershipFast:
             membership_fast(system, chain, (33,), report)
 
     def test_not_in_group(self, axes_example):
-        system, chain, _ = axes_example
-        result = membership_fast(system, chain, (1, 0))
+        system, chain, report = axes_example
+        result = membership_fast(system, chain, (1, 0), report)
         assert not result.in_group
         assert not result.in_semigroup
         assert result.representation is None
@@ -236,6 +239,6 @@ class TestAgreement:
             e = system.ambient_dim
             top = 14 if e == 1 else 8
             for point in itertools.product(range(top + 1), repeat=e):
-                fast = membership_fast(system, chain, point).in_semigroup
+                fast = membership_fast(system, chain, point, report).in_semigroup
                 brute = membership_bruteforce(system.generators, point)
                 assert fast == (brute is not None), point
