@@ -20,6 +20,7 @@ a counterexample.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -276,8 +277,10 @@ def _analysis_document(
             if frobenius_report.used_subset is None
             else _sv(frobenius_report.used_subset)
         ),
-        "vector_in_group": frobenius_report.vector_in_group,
-        "vector_in_semigroup": frobenius_report.vector_in_semigroup,
+        # frobenius_vector raises unless its re-check finds the vector in
+        # the group and outside the semigroup.
+        "vector_in_group": True,
+        "vector_in_semigroup": False,
     }
     if frobenius_report.conductor is not None and not frobenius_report.threshold_only:
         document["conductor"] = [_sv(c) for c in frobenius_report.conductor]
@@ -635,7 +638,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="affsemi",
         description=(
@@ -653,30 +659,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="fall back to the maximal well-behaved subset when a condition fails",
     )
     _add_common(p)
-    p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("member", help="semigroup membership of a point")
     p.add_argument("generators", nargs="*")
     p.add_argument("--point", required=True, help="query point, e.g. 10,14")
     _add_common(p)
-    p.set_defaults(handler=cmd_member)
 
     p = sub.add_parser("dioph", help="nonnegative integer solve of A.X = B")
     p.add_argument("generators", nargs="*")
     p.add_argument("--target", required=True, help="right-hand side B")
     _add_common(p)
-    p.set_defaults(handler=cmd_dioph)
 
     p = sub.add_parser("curve", help="plane-branch semigroup from exponents")
     p.add_argument("values", nargs="*", help="multiplicity followed by exponents")
     _add_common(p)
-    p.set_defaults(handler=cmd_curve)
 
     p = sub.add_parser("quasi", help="quasi-ordinary semigroup from exponents")
     p.add_argument("exponents", nargs="*", help="exponent vectors, e.g. 2,2 3,3")
     p.add_argument("--n", help="multiplicity")
     _add_common(p)
-    p.set_defaults(handler=cmd_quasi)
 
     p = sub.add_parser("verify", help="finite-box verification sweeps")
     p.add_argument("generators", nargs="*")
@@ -684,7 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--margin", type=_nonnegative_int, default=3, help="box size multiplier"
     )
     _add_common(p)
-    p.set_defaults(handler=cmd_verify)
 
     return parser
 
@@ -694,10 +694,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Lift the 4300-digit cap on int <-> str so values of any size
         # survive parsing and rendering.
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # Looked up per call, so a rebound cmd_<command> takes effect.
+        return globals()[f"cmd_{args.command}"](args)
     except ConditionsUnmetError as error:
         print(f"error: {error}", file=sys.stderr)
         return 3

@@ -17,10 +17,6 @@ from .errors import DimensionError, RankDeficientError, SingularMatrixError
 
 Vector = tuple[int, ...]
 
-#: Largest number of maximal minors that gcd_maximal_minors enumerates
-#: directly before switching to the Hermite-basis determinant.
-MINOR_ENUMERATION_LIMIT = 3000
-
 
 def as_int(value) -> int:
     """Coerce to a Python int, rejecting floats and other inexact types."""
@@ -133,26 +129,21 @@ def gcd_maximal_minors(matrix: IntMatrix) -> int:
     """Gcd of the absolute values of all maximal (nrows x nrows) minors.
 
     Returns 0 exactly when every maximal minor vanishes, i.e. when the
-    columns do not span the full space.  For matrices with many columns the
-    direct enumeration of C(ncols, nrows) minors is replaced by the
-    determinant of the Hermite basis of the column lattice, which equals the
-    same gcd.
+    columns do not span the full space.  It evaluates the definition
+    directly: all C(ncols, nrows) minors, by Bareiss elimination, stopping
+    early only once the gcd reaches 1.  It shares no code with
+    ``lattice_basis`` and is kept as the reference that the Hermite chain
+    (whose diagonal product is the same number) is checked against.
     """
     e, m = matrix.nrows, matrix.ncols
     if e > m:
         raise DimensionError(f"need at least as many columns as rows, got {e}x{m}")
-    if math.comb(m, e) <= MINOR_ENUMERATION_LIMIT:
-        g = 0
-        for subset in itertools.combinations(range(m), e):
-            g = math.gcd(g, _minor_determinant(matrix, subset))
-            if g == 1:
-                return 1
-        return g
-    try:
-        basis = lattice_basis(matrix.columns())
-    except RankDeficientError:
-        return 0
-    return abs(determinant(basis))
+    g = 0
+    for subset in itertools.combinations(range(m), e):
+        g = math.gcd(g, _minor_determinant(matrix, subset))
+        if g == 1:
+            return 1
+    return g
 
 
 def lattice_basis(vectors: Iterable[Sequence], rank: Optional[int] = None) -> IntMatrix:

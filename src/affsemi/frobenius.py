@@ -62,16 +62,11 @@ class FrobeniusReport:
     well-behaved subset of the generators and is only an upper threshold:
     everything in the group beyond it is in the semigroup, but smaller
     non-members may exist.  ``used_subset`` then lists the 1-based positions
-    of the extra generators that were kept.  ``vector_in_group`` and
-    ``vector_in_semigroup`` are the verdicts of the membership re-check of
-    ``vector``.
+    of the extra generators that were kept.
     """
 
     vector: Vector
-    conditions: ConditionReport
     conductor: Optional[tuple[Vector, ...]]
-    vector_in_group: bool
-    vector_in_semigroup: bool
     threshold_only: bool = False
     used_subset: Optional[tuple[int, ...]] = None
 
@@ -102,10 +97,12 @@ def frobenius_vector(
     """Frobenius vector of the semigroup, requiring both chain conditions.
 
     ``conditions`` is the report of ``validate_conditions`` on the same
-    system.  The result also records the two defining facts (the vector is
-    in the group but not in the semigroup, the latter re-checked through
-    the standard representation) and, when the generators span all of Z^e
-    and |det| is within ``CONDUCTOR_ENUMERATION_LIMIT``, the conductor set.
+    system.  The two defining facts (the vector is in the group but not in
+    the semigroup, the latter through the standard representation) are
+    re-checked, and a failure raises ``AssertionError``.  When the
+    generators span all of Z^e and |det| is within
+    ``CONDUCTOR_ENUMERATION_LIMIT``, the result also carries the conductor
+    set.
     """
     if not conditions.all_hold:
         raise ConditionsUnmetError(
@@ -124,13 +121,7 @@ def frobenius_vector(
         system.ambient_dim == 1 or abs(system.det) <= CONDUCTOR_ENUMERATION_LIMIT
     ):
         conductor = conductor_set(system, chain, g)
-    return FrobeniusReport(
-        vector=g,
-        conditions=conditions,
-        conductor=conductor,
-        vector_in_group=membership.in_group,
-        vector_in_semigroup=membership.in_semigroup,
-    )
+    return FrobeniusReport(vector=g, conductor=conductor)
 
 
 def frobenius_subset(

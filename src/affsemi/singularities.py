@@ -8,8 +8,9 @@ Two constructions share the same recursion shape:
   gcd along the exponents; its conductor, Milnor number and gap count come
   out in closed form;
 * a quasi-ordinary branch in e variables does the same with vector
-  exponents, gcds of maximal minors of [n*I | m_1 .. m_k] replacing plain
-  gcds, and the leading generators n*(standard basis).
+  exponents, gcds of maximal minors of [n*I | m_1 .. m_k] (the covolumes of
+  the lattice chain) replacing plain gcds, and the leading generators
+  n*(standard basis).
 
 Only the exponent data is handled here; recovering exponents from an actual
 polynomial is out of scope.
@@ -18,13 +19,18 @@ polynomial is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InvalidExponentsError
-from .exactlinalg import IntMatrix, Vector, as_int, as_vector, gcd_maximal_minors
+from .exactlinalg import Vector, as_int, as_vector
 from .frobenius import FrobeniusReport, frobenius_vector
-from .lattice import GeneratorSystem, LatticeChain, build_chain, scale
+from .lattice import (
+    GeneratorSystem,
+    LatticeChain,
+    build_chain,
+    standard_representation,
+)
 from .semigroup import ConditionReport, validate_conditions
 
 
@@ -92,9 +98,12 @@ def curve_semigroup(exponents: CurveExponents) -> CurveSemigroupData:
 
     The conductor is sum (index_k - 1) * r_k - r_0 + 1; it equals the Milnor
     number, and exactly half of the integers below it are gaps.  Each scaled
-    generator index_k * r_k is re-checked to be representable over its
-    predecessors by an explicit witness, in O(h) steps for h exponents
-    whatever the multiplicity; valid exponent data always passes.
+    generator index_k * r_k is re-checked to lie in the semigroup of its
+    predecessors by the sign criterion: its standard representation over
+    the chain of r_0 .. r_{k-1} has a nonnegative r_0 coefficient.  The
+    criterion holds at level k-1 because every lower level has passed, and
+    it costs O(h) steps for h exponents whatever the multiplicity; valid
+    exponent data always passes.
     """
     n = exponents.multiplicity
     m = exponents.exponents
@@ -106,16 +115,12 @@ def curve_semigroup(exponents: CurveExponents) -> CurveSemigroupData:
     conductor = sum((indices[k] - 1) * r[k + 1] for k in range(len(m))) - n + 1
     if conductor % 2:
         raise AssertionError("the conductor of a branch semigroup is even")
+    chain = build_chain(GeneratorSystem(1, tuple((x,) for x in r)))
     for k in range(1, len(r)):
-        # Witness over r_0 .. r_{k-1} (the standard representation): from the
-        # top down, c_j is the residue mod indices[j-1] that leaves the rest
-        # in d[j-1] Z, and the rest must be a nonnegative multiple of n.
-        target = indices[k - 1] * r[k]
-        rest = target
-        for j in range(k - 1, 0, -1):
-            unit = pow(r[j] // d[j], -1, indices[j - 1])
-            rest -= (rest // d[j]) * unit % indices[j - 1] * r[j]
-        if rest < 0 or rest % n:
+        representation = standard_representation(
+            chain, (indices[k - 1] * r[k],), k - 1
+        )
+        if representation is None or representation.coefficients[0] < 0:
             raise InvalidExponentsError(
                 f"scaled generator {indices[k - 1]}*{r[k]} is not representable "
                 "over its predecessors; exponent data is inconsistent"
@@ -162,12 +167,15 @@ class QOExponents:
 
     The exponents must increase strictly coordinate-wise, the chain of
     maximal-minor gcds of [n*I | m_1 .. m_k] must strictly decrease, and it
-    must end at n^(e-1).
+    must end at n^(e-1).  That chain is the covolume chain of the generator
+    system n*(standard basis), m_1 .. m_k; it is kept as ``minor_gcds`` and
+    takes no part in equality or hashing.
     """
 
     ambient_dim: int
     multiplicity: int
     exponents: tuple[Vector, ...]
+    minor_gcds: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = as_int(self.ambient_dim)
@@ -197,7 +205,7 @@ class QOExponents:
                     f"exponents {i} and {i + 1} are not strictly increasing "
                     "coordinate-wise"
                 )
-        chain = _qo_minor_chain(e, n, m)
+        chain = build_chain(_qo_system(e, n, m)).minor_gcds
         for k in range(1, len(chain)):
             if chain[k] >= chain[k - 1]:
                 raise InvalidExponentsError(
@@ -209,25 +217,13 @@ class QOExponents:
                 f"the minor-gcd chain ends at {chain[-1]}, expected "
                 f"{n ** (e - 1)}; exponent data is inconsistent"
             )
-
-    def minor_chain(self) -> tuple[int, ...]:
-        return _qo_minor_chain(self.ambient_dim, self.multiplicity, self.exponents)
+        object.__setattr__(self, "minor_gcds", chain)
 
 
-def _qo_minor_chain(e: int, n: int, vectors: Sequence[Vector]) -> tuple[int, ...]:
-    """Gcds of maximal minors of [n*I | v_1 .. v_k] for k = 0 .. len."""
-    axis = tuple(scale(unit, n) for unit in _standard_basis(e))
-    chain = [n**e]
-    for k in range(1, len(vectors) + 1):
-        matrix = IntMatrix.from_columns(axis + tuple(vectors[:k]))
-        chain.append(gcd_maximal_minors(matrix))
-    return tuple(chain)
-
-
-def _standard_basis(e: int) -> tuple[Vector, ...]:
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(e)) for i in range(e)
-    )
+def _qo_system(e: int, n: int, vectors: Sequence[Vector]) -> GeneratorSystem:
+    """The generator system n*(standard basis) followed by ``vectors``."""
+    axis = tuple(tuple(n if i == j else 0 for j in range(e)) for i in range(e))
+    return GeneratorSystem(e, axis + tuple(vectors))
 
 
 @dataclass(frozen=True)
@@ -258,10 +254,8 @@ def qo_semigroup(exponents: QOExponents) -> QOSemigroupData:
     minor-gcd chain unchanged, and the system satisfies both chain
     conditions, so the closed-form Frobenius vector applies.
     """
-    e = exponents.ambient_dim
-    n = exponents.multiplicity
     m = exponents.exponents
-    minor_gcds = exponents.minor_chain()
+    minor_gcds = exponents.minor_gcds
     indices = tuple(
         minor_gcds[k] // minor_gcds[k + 1] for k in range(len(m))
     )
@@ -271,17 +265,13 @@ def qo_semigroup(exponents: QOExponents) -> QOSemigroupData:
         derived.append(tuple(
             step * a + b - c for a, b, c in zip(derived[-1], m[k - 1], m[k - 2])
         ))
-    recomputed = _qo_minor_chain(e, n, derived)
-    if recomputed != minor_gcds:
+    system = _qo_system(exponents.ambient_dim, exponents.multiplicity, derived)
+    chain = build_chain(system)
+    if chain.minor_gcds != minor_gcds:
         raise InvalidExponentsError(
             "derived generators change the minor-gcd chain; exponent data is "
             "inconsistent"
         )
-    axis = tuple(scale(unit, n) for unit in _standard_basis(e))
-    system = GeneratorSystem(e, axis + tuple(derived))
-    chain = build_chain(system)
-    if chain.minor_gcds != minor_gcds:
-        raise AssertionError("chain disagrees with the exponent minor gcds")
     conditions = validate_conditions(system, chain)
     if not conditions.all_hold:
         raise InvalidExponentsError(

@@ -378,3 +378,33 @@ class TestInternalErrors:
         assert out == ""
         assert err == "error: internal error: RuntimeError: deliberately broken\n"
         assert "Traceback" not in err
+
+
+class TestSharedParser:
+    SEQUENCE = [
+        (["analyze", "4", "6", "7", "9", "--allow-subset"], 0),
+        (["analyze", "4", "6", "7", "9"], 3),
+        (["member", "4", "6", "7", "--point", "9", "--format", "machine"], 0),
+        (["member", "4", "6", "7", "--point", "9"], 0),
+        (["dioph", "4", "6", "7", "--target", "5", "--budget", "50"], 0),
+        (["curve", "4", "6", "7", "--format", "machine"], 0),
+        (["quasi", "--n", "4", "2,2", "3,3"], 0),
+        (["verify", "1,3", "3,2", "1,1", "--margin", "2"], 0),
+        (["analyze", "4", "6", "7"], 0),
+    ]
+
+    def test_repeated_invocations_do_not_leak_state(self):
+        # main parses with one cached parser; each result must depend only
+        # on its own arguments, in whatever order the calls come.
+        forward = [run_cli(argv) for argv, _ in self.SEQUENCE]
+        assert [code for code, _, _ in forward] == [
+            code for _, code in self.SEQUENCE
+        ]
+        assert "threshold" in forward[0][1]
+        assert "NOT satisfied" in forward[1][1]
+        assert forward[2][1].startswith("{") and not forward[3][1].startswith("{")
+        errors = io.StringIO()
+        with contextlib.redirect_stderr(errors), pytest.raises(SystemExit):
+            cli.main(["member", "4", "6", "7"])
+        backward = [run_cli(argv) for argv, _ in reversed(self.SEQUENCE)]
+        assert backward[::-1] == forward

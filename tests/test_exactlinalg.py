@@ -107,21 +107,6 @@ class TestGcdMaximalMinors:
         extended = matrix.with_column(combo)
         assert gcd_maximal_minors(extended) == gcd_maximal_minors(matrix)
 
-    def test_enumeration_and_hermite_paths_agree(self, monkeypatch):
-        rng = random.Random(7)
-        for _ in range(25):
-            cols = [
-                tuple(rng.randint(-8, 8) for _ in range(2)) for _ in range(5)
-            ]
-            matrix = IntMatrix.from_columns(cols)
-            direct = gcd_maximal_minors(matrix)
-            monkeypatch.setattr(
-                "affsemi.exactlinalg.MINOR_ENUMERATION_LIMIT", 0
-            )
-            via_basis = gcd_maximal_minors(matrix)
-            monkeypatch.undo()
-            assert direct == via_basis
-
 
 class TestLatticeBasis:
     def test_one_dimensional_gcd(self):

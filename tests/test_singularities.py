@@ -2,18 +2,45 @@ import random
 
 import pytest
 
+import affsemi.singularities
 from affsemi import (
     CurveExponents,
+    IntMatrix,
     InvalidExponentsError,
     QOExponents,
+    StandardRepresentation,
     curve_semigroup,
     frobenius_number_dp,
+    gcd_maximal_minors,
     membership_bruteforce,
     numerical_gaps_dp,
     qo_semigroup,
     zariski_validate,
 )
 from tests.conftest import random_curve_exponents
+
+
+def minor_enumeration_verdict(e, n, exponents):
+    """Reference for the chain checks of QOExponents: the maximal-minor gcds
+    of [n*I | m_1 .. m_k], enumerated minor by minor.  Returns the chain,
+    or the message QOExponents must raise."""
+    axis = tuple(tuple(n if i == j else 0 for j in range(e)) for i in range(e))
+    chain = [n**e] + [
+        gcd_maximal_minors(IntMatrix.from_columns(axis + exponents[:k]))
+        for k in range(1, len(exponents) + 1)
+    ]
+    for k in range(1, len(chain)):
+        if chain[k] >= chain[k - 1]:
+            return (
+                f"minor gcd does not drop at exponent {k}: each exponent must "
+                "enlarge the lattice"
+            )
+    if chain[-1] != n ** (e - 1):
+        return (
+            f"the minor-gcd chain ends at {chain[-1]}, expected "
+            f"{n ** (e - 1)}; exponent data is inconsistent"
+        )
+    return tuple(chain)
 
 
 class TestCurveSemigroup:
@@ -65,6 +92,24 @@ class TestCurveSemigroup:
                 previous = [(r,) for r in data.generators[:k]]
                 assert membership_bruteforce(previous, target) is not None
 
+
+    def test_negative_leading_coefficient_is_rejected(self, monkeypatch):
+        # The re-check reads the sign of the r_0 coefficient; flipping it
+        # must reject otherwise valid data.
+        original = affsemi.singularities.standard_representation
+
+        def negated(chain, vector, level=None):
+            representation = original(chain, vector, level)
+            return StandardRepresentation(
+                representation.level,
+                (-1,) + representation.coefficients[1:],
+            )
+
+        monkeypatch.setattr(
+            affsemi.singularities, "standard_representation", negated
+        )
+        with pytest.raises(InvalidExponentsError, match="not representable"):
+            curve_semigroup(CurveExponents(4, (6, 7)))
 
     def test_huge_multiplicity_is_cheap(self):
         # The re-check walks the exponents, not the residues mod n.
@@ -146,3 +191,26 @@ class TestQuasiOrdinary:
         quasi = qo_semigroup(QOExponents(1, 8, ((12,), (14,), (15,))))
         generators = [v[0] for v in quasi.generators]
         assert frobenius_number_dp(generators) == quasi.vector[0]
+
+    def test_chain_checks_match_minor_enumeration(self):
+        rng = random.Random(2027)
+        outcomes = {"valid": 0, "invalid": 0}
+        for _ in range(300):
+            e = rng.randint(1, 3)
+            n = rng.randint(2, 9)
+            exponents = [tuple(rng.randint(0, 3) + 1 for _ in range(e))]
+            for _ in range(rng.randint(0, 2)):
+                exponents.append(
+                    tuple(x + rng.randint(1, 4) for x in exponents[-1])
+                )
+            exponents = tuple(exponents)
+            expected = minor_enumeration_verdict(e, n, exponents)
+            if isinstance(expected, str):
+                outcomes["invalid"] += 1
+                with pytest.raises(InvalidExponentsError) as raised:
+                    QOExponents(e, n, exponents)
+                assert str(raised.value) == expected
+            else:
+                outcomes["valid"] += 1
+                assert QOExponents(e, n, exponents).minor_gcds == expected
+        assert min(outcomes.values()) >= 50, outcomes
