@@ -47,18 +47,6 @@ from .lattice import (
     multiple_order,
     standard_representation,
 )
-from .oracle import (
-    BoxSpec,
-    TheoremCheck,
-    enumerate_semigroup,
-    fast_membership_grid,
-    frobenius_number_dp,
-    numerical_gaps_dp,
-    random_conditioned_system,
-    reachable_grid,
-    verify_conductor,
-    verify_theorem1,
-)
 from .semigroup import (
     ConditionReport,
     MembershipResult,
@@ -78,6 +66,27 @@ from .singularities import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The oracle loads numpy, so its names are imported on first access.
+    if name in (
+        "BoxSpec",
+        "TheoremCheck",
+        "enumerate_semigroup",
+        "fast_membership_grid",
+        "frobenius_number_dp",
+        "numerical_gaps_dp",
+        "random_conditioned_system",
+        "reachable_grid",
+        "verify_conductor",
+        "verify_theorem1",
+    ):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BoxSpec",

@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .errors import ConditionsUnmetError, SearchBudgetExceededError
@@ -46,7 +47,6 @@ from .lattice import (
     standard_representation,
     sub,
 )
-from .oracle import verify_conductor, verify_theorem1
 from .semigroup import (
     ConditionReport,
     membership_bruteforce,
@@ -132,7 +132,7 @@ def _s(value: int) -> str:
 
 
 def _sv(vector: Sequence[int]) -> list[str]:
-    return [_s(x) for x in vector]
+    return list(map(str, vector))
 
 
 def _input_echo(system: GeneratorSystem) -> dict:
@@ -189,9 +189,58 @@ def _vec_text(vector: Sequence[int]) -> str:
     return "(" + ",".join(str(x) for x in vec) + ")"
 
 
+def _machine_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the values machine documents
+    hold: dicts with string keys, lists, strings, booleans and None.
+
+    A list of strings none of which needs escaping is written in one join,
+    which is what keeps long gap lists cheap.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return (
+            "{" + inner
+            + ("," + inner).join(
+                _quote(key) + ": " + _machine_text(item, inner)
+                for key, item in value.items()
+            )
+            + indent + "}"
+        )
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        try:
+            flat = "".join(value)
+        except TypeError:
+            pass
+        else:
+            # Escaping lengthens every string that needs it.
+            if len(_quote(flat)) == len(flat) + 2:
+                return (
+                    "[" + inner + '"' + ('",' + inner + '"').join(value) + '"'
+                    + indent + "]"
+                )
+        return (
+            "[" + inner
+            + ("," + inner).join(_machine_text(item, inner) for item in value)
+            + indent + "]"
+        )
+    raise TypeError(f"{type(value).__name__} has no place in a machine document")
+
+
 def _render(document: dict, fmt: str, human_lines) -> None:
     if fmt == "machine":
-        print(json.dumps(document, indent=2))
+        print(_machine_text(document))
     else:
         for line in human_lines:
             print(line)
@@ -541,7 +590,7 @@ def cmd_quasi(args) -> int:
         n = _parse_int(args.n)
         m = [_parse_vector(tok) for tok in args.exponents]
         dim = len(m[0])
-    data = qo_semigroup(QOExponents(dim, n, tuple(m)))
+    data = qo_semigroup(QOExponents(dim, n, tuple(m)), args.budget)
     document = {
         "input": {"e": _s(dim), "n": _s(n), "m": [_sv(v) for v in m]},
         "generators": [_sv(v) for v in data.generators],
@@ -573,6 +622,21 @@ def cmd_quasi(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+def verify_theorem1(*args, **kwargs):
+    """``oracle.verify_theorem1``, imported on first call: the oracle loads
+    numpy, which no other subcommand needs."""
+    from . import oracle
+
+    return oracle.verify_theorem1(*args, **kwargs)
+
+
+def verify_conductor(*args, **kwargs):
+    """``oracle.verify_conductor``, imported on first call."""
+    from . import oracle
+
+    return oracle.verify_conductor(*args, **kwargs)
 
 
 def cmd_verify(args) -> int:

@@ -368,6 +368,20 @@ def fast_membership_grid(
     return verdict.reshape(shape)
 
 
+def _sweep_span(system: GeneratorSystem, margin: int) -> Vector:
+    """margin * (sum of the leading generators): the extent of the box that
+    both verification sweeps scan, refused before anything is allocated
+    when the box holds more than MAX_GRID_CELLS points."""
+    envelope = system.leading()[0]
+    for v in system.leading()[1:]:
+        envelope = add(envelope, v)
+    span = scale(envelope, margin)
+    cells = math.prod(s + 1 for s in span)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"verification box of {cells} cells exceeds the safety cap")
+    return span
+
+
 def verify_theorem1(
     system: GeneratorSystem,
     chain: LatticeChain,
@@ -383,10 +397,7 @@ def verify_theorem1(
     """
     g = as_vector(g)
     e = system.ambient_dim
-    envelope = system.leading()[0]
-    for v in system.leading()[1:]:
-        envelope = add(envelope, v)
-    upper = add(g, scale(envelope, margin))
+    upper = add(g, _sweep_span(system, margin))
     grid_upper = tuple(max(u, 0) for u in upper)
     gamma = reachable_grid(system, grid_upper)
 
@@ -458,11 +469,7 @@ def verify_conductor(
     g = frobenius_formula(system, chain)
     offsets = [sub(c, g) for c in conductor_points]
 
-    envelope = system.leading()[0]
-    for v in system.leading()[1:]:
-        envelope = add(envelope, v)
-    cover_upper = scale(envelope, margin)
-    points = _box_points((0,) * e, cover_upper)
+    points = _box_points((0,) * e, _sweep_span(system, margin))
     # The cone coordinates are linear, so u - w is in the closed cone
     # exactly when the coordinates of u dominate those of w.
     numerators = _cone_numerators(system, points)

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .errors import InvalidExponentsError
+from .errors import InvalidExponentsError, SearchBudgetExceededError
 from .exactlinalg import Vector, as_int, as_vector
 from .frobenius import FrobeniusReport, frobenius_vector
 from .lattice import (
@@ -244,7 +244,9 @@ class QOSemigroupData:
         return self.system.generators
 
 
-def qo_semigroup(exponents: QOExponents) -> QOSemigroupData:
+def qo_semigroup(
+    exponents: QOExponents, search_budget: Optional[int] = None
+) -> QOSemigroupData:
     """Build the semigroup generators and Frobenius vector from QO exponents.
 
     The derived generators follow the vector recursion
@@ -252,7 +254,10 @@ def qo_semigroup(exponents: QOExponents) -> QOSemigroupData:
     n*(standard basis) followed by the r_k.  Two consistency facts are
     re-checked: swapping exponents for derived generators leaves the
     minor-gcd chain unchanged, and the system satisfies both chain
-    conditions, so the closed-form Frobenius vector applies.
+    conditions, so the closed-form Frobenius vector applies.  The
+    scaled-membership searches of that check visit at most
+    ``search_budget`` nodes each; ``SearchBudgetExceededError`` is raised
+    when one is left undecided.
     """
     m = exponents.exponents
     minor_gcds = exponents.minor_gcds
@@ -272,8 +277,14 @@ def qo_semigroup(exponents: QOExponents) -> QOSemigroupData:
             "derived generators change the minor-gcd chain; exponent data is "
             "inconsistent"
         )
-    conditions = validate_conditions(system, chain)
+    conditions = validate_conditions(system, chain, search_budget)
     if not conditions.all_hold:
+        failure = conditions.first_scaled_failure()
+        if failure is not None and failure.undecided:
+            raise SearchBudgetExceededError(
+                f"the scaled-membership search at level {failure.level} "
+                f"exceeded {search_budget} nodes"
+            )
         raise InvalidExponentsError(
             "derived generators fail the chain conditions; exponent data is "
             "inconsistent"

@@ -1,12 +1,19 @@
 import contextlib
 import io
 import json
+import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import affsemi
 from affsemi import cli
+from affsemi.oracle import MAX_GRID_CELLS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -231,6 +238,16 @@ class TestCurveAndQuasi:
         assert document["frobenius"] == ["-1", "-1"]
         assert document["minor_gcds"] == ["4", "2"]
 
+    def test_quasi_honours_the_search_budget(self):
+        code, out, err = run_cli(
+            ["quasi", "--n", "3", "1000000000000000000,0", "--budget", "1000"]
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the scaled-membership search at level 1 exceeded 1000 nodes; "
+            "raise --budget to decide\n"
+        )
+
     def test_quasi_json_input(self, tmp_path):
         path = tmp_path / "qo.json"
         path.write_text(
@@ -313,6 +330,14 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "4", "6", "7"])
         assert code == 4
         assert "counterexample: 9" in out
+
+    def test_oversized_box_exits_two(self):
+        # The box has 10^19 + 1 cells; it is refused before it is built.
+        code, out, err = run_cli(["verify", "10000000000000000000", "--margin", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: verification box of 10000000000000000001 cells")
+        assert len(err.splitlines()) == 1
 
 
 class TestBigIntegers:
@@ -408,3 +433,140 @@ class TestSharedParser:
             cli.main(["member", "4", "6", "7"])
         backward = [run_cli(argv) for argv, _ in reversed(self.SEQUENCE)]
         assert backward[::-1] == forward
+
+
+_text = st.one_of(
+    st.text(),
+    st.integers().map(str),
+    st.sampled_from(
+        ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001d11e"]
+    ),
+)
+
+_documents = st.recursive(
+    st.one_of(st.none(), st.booleans(), _text, st.lists(_text)),
+    lambda children: st.one_of(st.lists(children), st.dictionaries(_text, children)),
+    max_leaves=20,
+)
+
+
+class TestMachineWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_documents)
+    def test_matches_json_dumps(self, document):
+        assert cli._machine_text(document) == json.dumps(document, indent=2)
+
+    def test_long_gap_list(self):
+        # 101 and 203 are coprime, so there are 100 * 202 / 2 = 10100 gaps.
+        system = affsemi.GeneratorSystem(1, ((101,), (203,)))
+        chain = affsemi.build_chain(system)
+        report = affsemi.validate_conditions(system, chain)
+        frob = affsemi.frobenius_vector(system, chain, report)
+        document = cli._analysis_document(system, chain, report, frob, [])
+        assert document["gap_count"] == "10100"
+        assert cli._machine_text(document) == json.dumps(document, indent=2)
+
+    def test_vector_strings(self):
+        # Lift the int -> str digit cap, where the interpreter has one.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            vector = (-1, 0, -(10**30), 10**4999 + 7, -(10**4999))
+            assert len(str(vector[3])) == 5000
+            assert cli._sv(vector) == [str(int(x)) for x in vector]
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+
+class TestImportPath:
+    def test_numpy_is_loaded_only_by_the_oracle(self):
+        source = str(Path(affsemi.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = source + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys; import affsemi.cli; a = 'numpy' in sys.modules; "
+            "import affsemi; b = 'numpy' in sys.modules; "
+            "f = affsemi.verify_theorem1; "
+            "print(a, b, f.__module__, 'numpy' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout.split() == ["False", "False", "affsemi.oracle", "True"]
+
+
+_TOKENS = st.one_of(
+    st.lists(
+        st.one_of(st.integers(-60, 60), st.integers(10**18, 10**30)),
+        min_size=1,
+        max_size=3,
+    ).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", "1,,2", "abc", "1.5", "-0", " 3 "]),
+)
+
+
+def _verify_box_cells(tokens, margin):
+    """Cells of the sweep box that ``verify`` would scan, or 0 when the
+    tokens are refused before any sweep."""
+    try:
+        vectors = [cli._parse_vector(token) for token in tokens]
+    except ValueError:
+        return 0
+    if not vectors or any(len(v) != len(vectors[0]) for v in vectors):
+        return 0
+    e = len(vectors[0])
+    leading = vectors[:e]
+    if len(leading) < e:
+        return 0
+    return math.prod(margin * sum(abs(v[i]) for v in leading) + 1 for i in range(e))
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(
+        st.sampled_from(["analyze", "member", "dioph", "curve", "quasi", "verify"])
+    )
+    tokens = draw(st.lists(_TOKENS, max_size=5))
+    argv = [command, *tokens]
+    if command == "analyze" and draw(st.booleans()):
+        argv.append("--allow-subset")
+    if command == "member":
+        argv += ["--point", draw(_TOKENS)]
+    if command == "dioph":
+        argv += ["--target", draw(_TOKENS)]
+    if command == "quasi" and draw(st.booleans()):
+        argv += ["--n", draw(_TOKENS)]
+    if command == "verify":
+        margin = draw(st.integers(0, 2))
+        # A box past the cap is refused before allocation; below it, only
+        # small boxes are swept, so that every example stays cheap.
+        cells = _verify_box_cells(tokens, margin)
+        assume(cells <= 10**5 or cells > MAX_GRID_CELLS)
+        argv += ["--margin", str(margin)]
+    argv += ["--budget", str(draw(st.integers(0, 1000)))]
+    argv += ["--format", draw(st.sampled_from(["human", "machine"]))]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_invocations())
+    def test_no_internal_errors(self, argv):
+        errors = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            errors
+        ):
+            try:
+                code = cli.main(argv)
+            except SystemExit as stop:  # refused by the argument parser
+                code = stop.code
+        assert code in (0, 2, 3, 4), (argv, errors.getvalue())
+        assert "Traceback" not in errors.getvalue()
+        assert "internal error" not in errors.getvalue()

@@ -204,6 +204,23 @@ class TestVerifyConductor:
             verify_conductor(system, chain, [(11, 7)], margin=2)
 
 
+class TestSweepCap:
+    """A sweep box beyond MAX_GRID_CELLS is refused before anything is
+    allocated; these inputs exercise only the refusal."""
+
+    def test_theorem_box_of_a_lone_huge_generator(self):
+        system, chain, _ = analyzed([(10**19,)])
+        g = frobenius_formula(system, chain)
+        with pytest.raises(ValueError, match="verification box"):
+            verify_theorem1(system, chain, g, margin=1)
+
+    def test_conductor_box_of_a_huge_pair(self):
+        system, chain, _ = analyzed([(10**19,), (10**19 + 1,)])
+        g = frobenius_formula(system, chain)
+        with pytest.raises(ValueError, match="verification box"):
+            verify_conductor(system, chain, [(g[0] + 1,)], margin=1)
+
+
 class TestFastMembershipGrid:
     def test_equals_scalar_on_random_systems(self):
         rng = random.Random(51)

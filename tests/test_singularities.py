@@ -8,6 +8,7 @@ from affsemi import (
     IntMatrix,
     InvalidExponentsError,
     QOExponents,
+    SearchBudgetExceededError,
     StandardRepresentation,
     curve_semigroup,
     frobenius_number_dp,
@@ -178,6 +179,12 @@ class TestQuasiOrdinary:
         assert data.indices == (2, 2)
         assert data.derived == ((2, 2), (5, 5))
         assert data.conditions.all_hold
+
+    def test_search_budget_bounds_the_condition_check(self):
+        # Deciding 3*(10^18, 0) over (3,0), (0,3) by search would take about
+        # 10^18 nodes; the budget stops it after 1000.
+        with pytest.raises(SearchBudgetExceededError, match="level 1"):
+            qo_semigroup(QOExponents(2, 3, ((10**18, 0),)), search_budget=1000)
 
     def test_axis_cone_structure(self):
         data = qo_semigroup(QOExponents(2, 3, ((1, 2),)))
