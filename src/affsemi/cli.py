@@ -190,8 +190,9 @@ def _vec_text(vector: Sequence[int]) -> str:
 
 
 def _machine_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for the values machine documents
-    hold: dicts with string keys, lists, strings, booleans and None.
+    """What ``json.dumps`` prints for ``value`` with an indent of two
+    spaces, for the values machine documents hold: dicts with string keys,
+    lists, strings, booleans and None.
 
     A list of strings none of which needs escaping is written in one join,
     which is what keeps long gap lists cheap.
