@@ -10,7 +10,6 @@ from .errors import (
     NotFullLatticeError,
     RankDeficientError,
     SearchBudgetExceededError,
-    SingularMatrixError,
 )
 from .exactlinalg import (
     IntMatrix,
@@ -19,7 +18,6 @@ from .exactlinalg import (
     determinant,
     gcd_maximal_minors,
     lattice_basis,
-    solve_square_integer,
 )
 from .frobenius import (
     CONDITIONS_UNMET,
@@ -36,15 +34,12 @@ from .frobenius import (
     frobenius_vector,
     gaps,
     minimal_cone_points,
-    sylvester_number,
 )
 from .lattice import (
     GeneratorSystem,
     LatticeChain,
     StandardRepresentation,
     build_chain,
-    group_membership,
-    multiple_order,
     standard_representation,
 )
 from .semigroup import (
@@ -114,7 +109,6 @@ __all__ = [
     "SOLVABLE_WITH_WITNESS",
     "ScaledMembershipCheck",
     "SearchBudgetExceededError",
-    "SingularMatrixError",
     "StandardRepresentation",
     "TheoremCheck",
     "adjugate",
@@ -132,19 +126,15 @@ __all__ = [
     "frobenius_vector",
     "gaps",
     "gcd_maximal_minors",
-    "group_membership",
     "lattice_basis",
     "membership_bruteforce",
     "membership_fast",
     "minimal_cone_points",
-    "multiple_order",
     "numerical_gaps_dp",
     "qo_semigroup",
     "random_conditioned_system",
     "reachable_grid",
-    "solve_square_integer",
     "standard_representation",
-    "sylvester_number",
     "validate_conditions",
     "verify_conductor",
     "verify_theorem1",

@@ -24,7 +24,7 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import ConditionsUnmetError, SearchBudgetExceededError
 from .exactlinalg import Vector
@@ -127,17 +127,13 @@ def _system_from_args(args) -> GeneratorSystem:
 # machine document helpers (all integers rendered as decimal strings)
 
 
-def _s(value: int) -> str:
-    return str(int(value))
-
-
 def _sv(vector: Sequence[int]) -> list[str]:
     return list(map(str, vector))
 
 
 def _input_echo(system: GeneratorSystem) -> dict:
     return {
-        "e": _s(system.ambient_dim),
+        "e": str(system.ambient_dim),
         "generators": [_sv(v) for v in system.generators],
     }
 
@@ -155,11 +151,11 @@ def _conditions_block(report: ConditionReport) -> dict:
         "strict_chain_violation": (
             None
             if report.strict_chain_violation is None
-            else _s(report.strict_chain_violation)
+            else str(report.strict_chain_violation)
         ),
         "scaled_membership": [
             {
-                "level": _s(check.level),
+                "level": str(check.level),
                 "holds": check.holds,
                 "witness": None if check.witness is None else _sv(check.witness),
                 "undecided": check.undecided,
@@ -169,14 +165,9 @@ def _conditions_block(report: ConditionReport) -> dict:
     }
 
 
-def _combination_text(system_or_gens, coefficients: Sequence[int]) -> str:
-    gens = (
-        system_or_gens.generators
-        if isinstance(system_or_gens, GeneratorSystem)
-        else list(system_or_gens)
-    )
+def _combination_text(system: GeneratorSystem, coefficients: Sequence[int]) -> str:
     terms = []
-    for coeff, gen in zip(coefficients, gens):
+    for coeff, gen in zip(coefficients, system.generators):
         if coeff:
             terms.append(f"{coeff}*{_vec_text(gen)}")
     return " + ".join(terms) if terms else "0"
@@ -239,11 +230,13 @@ def _machine_text(value, indent: str = "\n") -> str:
     raise TypeError(f"{type(value).__name__} has no place in a machine document")
 
 
-def _render(document: dict, fmt: str, human_lines) -> None:
+def _render(document: dict, fmt: str, human) -> None:
+    """Print the machine document, or the lines of ``human(document)``,
+    which is called only for human output."""
     if fmt == "machine":
         print(_machine_text(document))
     else:
-        for line in human_lines:
+        for line in human(document):
             print(line)
 
 
@@ -252,8 +245,10 @@ def _render(document: dict, fmt: str, human_lines) -> None:
 
 
 def _condition_failure_diagnostics(
-    system: GeneratorSystem, chain: LatticeChain, report: ConditionReport
+    system: GeneratorSystem, chain: LatticeChain, report: ConditionReport, budget: int
 ) -> list[str]:
+    """Notes on why the conditions fail.  The search for a witness that the
+    closed-form value is a member visits at most min(budget, 500 000) nodes."""
     notes = []
     if not report.strict_chain:
         k = report.strict_chain_violation
@@ -285,7 +280,9 @@ def _condition_failure_diagnostics(
     )
     if all(x >= 0 for x in naive):
         try:
-            witness = membership_bruteforce(system.generators, naive, budget=500_000)
+            witness = membership_bruteforce(
+                system.generators, naive, min(budget, 500_000)
+            )
         except SearchBudgetExceededError:
             witness = None
         if witness is not None:
@@ -349,53 +346,45 @@ def _analysis_document(
             return document
         gap_list = gaps(system, chain)
         document["gaps"] = _sv(gap_list)
-        document["gap_count"] = _s(len(gap_list))
+        document["gap_count"] = str(len(gap_list))
         if frobenius_report.threshold_only:
             # The gap list pins the exact Frobenius number and conductor
             # even when the closed form only gives a threshold.
             frobenius_number = gap_list[-1] if gap_list else -1
-            document["true_frobenius_number"] = _s(frobenius_number)
+            document["true_frobenius_number"] = str(frobenius_number)
             document["conductor"] = [_sv((frobenius_number + 1,))]
     return document
 
 
-def _human_analysis(document: dict) -> list[str]:
-    lines = []
+def _human_analysis(document: dict) -> Iterator[str]:
     gens = document["input"]["generators"]
-    lines.append("generators: " + " ".join(_vec_text(v) for v in gens))
-    lines.append("minor gcds: " + " ".join(document["chain"]["minor_gcds"]))
+    yield "generators: " + " ".join(_vec_text(v) for v in gens)
+    yield "minor gcds: " + " ".join(document["chain"]["minor_gcds"])
     if document["chain"]["indices"]:
-        lines.append("indices:    " + " ".join(document["chain"]["indices"]))
+        yield "indices:    " + " ".join(document["chain"]["indices"])
     conditions = document["conditions"]
     ok = conditions["strict_chain"] and all(
         c["holds"] for c in conditions["scaled_membership"]
     )
-    lines.append("conditions: " + ("satisfied" if ok else "NOT satisfied"))
+    yield "conditions: " + ("satisfied" if ok else "NOT satisfied")
     frob = document.get("frobenius")
     if frob is not None:
         label = "threshold vector" if frob["threshold_only"] else "frobenius vector"
-        lines.append(f"{label}: {_vec_text(frob['vector'])}")
+        yield f"{label}: {_vec_text(frob['vector'])}"
         if frob["threshold_only"]:
             kept = ", ".join(frob["used_subset"])
-            lines.append(
+            yield (
                 f"  (upper threshold from extra generators [{kept}]; "
                 "need not be minimal)"
             )
     if document.get("conductor") is not None:
-        lines.append(
-            "conductor: " + " ".join(_vec_text(c) for c in document["conductor"])
-        )
+        yield "conductor: " + " ".join(_vec_text(c) for c in document["conductor"])
     if document.get("gaps") is not None:
-        lines.append(
-            f"gaps ({document['gap_count']}): " + " ".join(document["gaps"])
-        )
+        yield f"gaps ({document['gap_count']}): " + " ".join(document["gaps"])
     if document.get("true_frobenius_number") is not None:
-        lines.append(
-            "true frobenius number: " + document["true_frobenius_number"]
-        )
+        yield "true frobenius number: " + document["true_frobenius_number"]
     for note in document["diagnostics"]:
-        lines.append("note: " + note)
-    return lines
+        yield "note: " + note
 
 
 def cmd_analyze(args) -> int:
@@ -405,14 +394,14 @@ def cmd_analyze(args) -> int:
     if report.all_hold:
         frob = frobenius_vector(system, chain, report)
         document = _analysis_document(system, chain, report, frob, [])
-        _render(document, args.format, _human_analysis(document))
+        _render(document, args.format, _human_analysis)
         return 0
-    diagnostics = _condition_failure_diagnostics(system, chain, report)
+    diagnostics = _condition_failure_diagnostics(system, chain, report, args.budget)
     if not args.allow_subset:
         document = _analysis_document(
             system, chain, report, None, diagnostics, error="conditions_unmet"
         )
-        _render(document, args.format, _human_analysis(document))
+        _render(document, args.format, _human_analysis)
         return 3
     try:
         frob = frobenius_subset(system, args.budget)
@@ -424,7 +413,7 @@ def cmd_analyze(args) -> int:
         document = _analysis_document(
             system, chain, report, None, diagnostics, error="conditions_unmet"
         )
-        _render(document, args.format, _human_analysis(document))
+        _render(document, args.format, _human_analysis)
         return 3
     if frob.threshold_only:
         kept = ", ".join(str(k) for k in frob.used_subset)
@@ -439,7 +428,7 @@ def cmd_analyze(args) -> int:
             f"the gap list gives the exact frobenius number "
             f"{document['true_frobenius_number']}"
         ]
-    _render(document, args.format, _human_analysis(document))
+    _render(document, args.format, _human_analysis)
     return 0
 
 
@@ -494,22 +483,24 @@ def cmd_member(args) -> int:
         "witness": None if witness is None else _sv(witness),
         "diagnostics": diagnostics,
     }
-    lines = [
-        f"point {_vec_text(point)}: "
-        + ("member" if in_semigroup else "NOT a member")
-        + f" of the semigroup (method: {method})",
-        "in group: " + ("yes" if in_group else "no"),
-    ]
-    if representation is not None:
-        lines.append(
-            "standard representation: "
-            + _combination_text(system, representation.coefficients)
+
+    def human(document: dict) -> Iterator[str]:
+        yield (
+            f"point {_vec_text(document['point'])}: "
+            + ("member" if in_semigroup else "NOT a member")
+            + f" of the semigroup (method: {method})"
         )
-    if witness is not None:
-        lines.append("witness: " + _combination_text(system, witness))
-    for note in diagnostics:
-        lines.append("note: " + note)
-    _render(document, args.format, lines)
+        yield "in group: " + ("yes" if in_group else "no")
+        if representation is not None:
+            yield "standard representation: " + _combination_text(
+                system, representation.coefficients
+            )
+        if witness is not None:
+            yield "witness: " + _combination_text(system, witness)
+        for note in diagnostics:
+            yield "note: " + note
+
+    _render(document, args.format, human)
     return 0
 
 
@@ -527,10 +518,13 @@ def cmd_dioph(args) -> int:
         "status": answer.status,
         "witness": None if answer.witness is None else _sv(answer.witness),
     }
-    lines = [f"target {_vec_text(target)}: {answer.status}"]
-    if answer.witness is not None:
-        lines.append("witness: " + _combination_text(system, answer.witness))
-    _render(document, args.format, lines)
+
+    def human(document: dict) -> Iterator[str]:
+        yield f"target {_vec_text(document['target'])}: {answer.status}"
+        if answer.witness is not None:
+            yield "witness: " + _combination_text(system, answer.witness)
+
+    _render(document, args.format, human)
     return 3 if answer.status == CONDITIONS_UNMET else 0
 
 
@@ -555,28 +549,33 @@ def cmd_curve(args) -> int:
         else None
     )
     document = {
-        "input": {"n": _s(n), "m": _sv(m)},
+        "input": {"n": str(n), "m": _sv(m)},
         "generators": _sv(data.generators),
         "gcd_chain": _sv(data.gcd_chain),
         "indices": _sv(data.indices),
-        "conductor": _s(data.conductor),
-        "milnor": _s(data.milnor),
-        "gap_count": _s(data.gap_count),
+        "conductor": str(data.conductor),
+        "milnor": str(data.milnor),
+        "gap_count": str(data.gap_count),
         "gaps": None if gap_list is None else _sv(gap_list),
         "zariski_valid": zariski_validate(data.generators),
     }
-    lines = [
-        f"multiplicity {n}, exponents {' '.join(str(x) for x in m)}",
-        "generators: " + " ".join(_sv(data.generators)),
-        "gcd chain:  " + " ".join(_sv(data.gcd_chain)),
-        "indices:    " + " ".join(_sv(data.indices)),
-        f"conductor: {data.conductor}   milnor: {data.milnor}   "
-        f"gaps: {data.gap_count}",
-    ]
-    if gap_list is not None:
-        lines.append("gap list: " + " ".join(_sv(gap_list)))
-    _render(document, args.format, lines)
+    _render(document, args.format, _human_curve)
     return 0
+
+
+def _human_curve(document: dict) -> Iterator[str]:
+    yield f"multiplicity {document['input']['n']}, exponents " + " ".join(
+        document["input"]["m"]
+    )
+    yield "generators: " + " ".join(document["generators"])
+    yield "gcd chain:  " + " ".join(document["gcd_chain"])
+    yield "indices:    " + " ".join(document["indices"])
+    yield (
+        f"conductor: {document['conductor']}   milnor: {document['milnor']}   "
+        f"gaps: {document['gap_count']}"
+    )
+    if document["gaps"] is not None:
+        yield "gap list: " + " ".join(document["gaps"])
 
 
 def cmd_quasi(args) -> int:
@@ -593,7 +592,7 @@ def cmd_quasi(args) -> int:
         dim = len(m[0])
     data = qo_semigroup(QOExponents(dim, n, tuple(m)), args.budget)
     document = {
-        "input": {"e": _s(dim), "n": _s(n), "m": [_sv(v) for v in m]},
+        "input": {"e": str(dim), "n": str(n), "m": [_sv(v) for v in m]},
         "generators": [_sv(v) for v in data.generators],
         "derived": [_sv(v) for v in data.derived],
         "minor_gcds": _sv(data.minor_gcds),
@@ -605,20 +604,21 @@ def cmd_quasi(args) -> int:
             else [_sv(c) for c in data.report.conductor]
         ),
     }
-    lines = [
-        f"dimension {dim}, multiplicity {n}, exponents "
-        + " ".join(_vec_text(v) for v in m),
-        "generators: " + " ".join(_vec_text(v) for v in data.generators),
-        "minor gcds: " + " ".join(_sv(data.minor_gcds)),
-        "indices:    " + " ".join(_sv(data.indices)),
-        "frobenius vector: " + _vec_text(data.vector),
-    ]
-    if data.report.conductor is not None:
-        lines.append(
-            "conductor: " + " ".join(_vec_text(c) for c in data.report.conductor)
-        )
-    _render(document, args.format, lines)
+    _render(document, args.format, _human_quasi)
     return 0
+
+
+def _human_quasi(document: dict) -> Iterator[str]:
+    given = document["input"]
+    yield f"dimension {given['e']}, multiplicity {given['n']}, exponents " + " ".join(
+        _vec_text(v) for v in given["m"]
+    )
+    yield "generators: " + " ".join(_vec_text(v) for v in document["generators"])
+    yield "minor gcds: " + " ".join(document["minor_gcds"])
+    yield "indices:    " + " ".join(document["indices"])
+    yield "frobenius vector: " + _vec_text(document["frobenius"])
+    if document["conductor"] is not None:
+        yield "conductor: " + " ".join(_vec_text(c) for c in document["conductor"])
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +645,11 @@ def cmd_verify(args) -> int:
     chain = build_chain(system)
     report = validate_conditions(system, chain, args.budget)
     if not report.all_hold:
-        diagnostics = _condition_failure_diagnostics(system, chain, report)
+        diagnostics = _condition_failure_diagnostics(system, chain, report, args.budget)
         document = _analysis_document(
             system, chain, report, None, diagnostics, error="conditions_unmet"
         )
-        _render(document, args.format, _human_analysis(document))
+        _render(document, args.format, _human_analysis)
         return 3
     frob = frobenius_vector(system, chain, report)
     check = verify_theorem1(system, chain, frob.vector, args.margin)
@@ -658,7 +658,7 @@ def cmd_verify(args) -> int:
         covered = verify_conductor(system, chain, frob.conductor, args.margin)
     document = {
         "input": _input_echo(system),
-        "margin": _s(args.margin),
+        "margin": str(args.margin),
         "frobenius": _sv(frob.vector),
         "membership_guarantee_holds": check.holds,
         "counterexample": (
@@ -666,21 +666,22 @@ def cmd_verify(args) -> int:
         ),
         "conductor_covered": covered,
     }
-    lines = [
-        f"frobenius vector: {_vec_text(frob.vector)}",
-        "membership guarantee on the margin box: "
-        + ("holds" if check.holds else "VIOLATED"),
-    ]
-    if check.counterexample is not None:
-        lines.append("counterexample: " + _vec_text(check.counterexample))
-    if covered is not None:
-        lines.append(
-            "conductor cover on the margin box: "
-            + ("holds" if covered else "VIOLATED")
-        )
-    _render(document, args.format, lines)
+    _render(document, args.format, _human_verify)
     failed = (not check.holds) or covered is False
     return 4 if failed else 0
+
+
+def _human_verify(document: dict) -> Iterator[str]:
+    yield f"frobenius vector: {_vec_text(document['frobenius'])}"
+    yield "membership guarantee on the margin box: " + (
+        "holds" if document["membership_guarantee_holds"] else "VIOLATED"
+    )
+    if document["counterexample"] is not None:
+        yield "counterexample: " + _vec_text(document["counterexample"])
+    if document["conductor_covered"] is not None:
+        yield "conductor cover on the margin box: " + (
+            "holds" if document["conductor_covered"] else "VIOLATED"
+        )
 
 
 # ---------------------------------------------------------------------------

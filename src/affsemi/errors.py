@@ -5,10 +5,6 @@ class DimensionError(ValueError):
     """Matrix or vector dimensions do not match the operation's contract."""
 
 
-class SingularMatrixError(ValueError):
-    """A square system was expected to be invertible but its determinant is 0."""
-
-
 class RankDeficientError(ValueError):
     """Vectors were expected to span the full ambient space but do not."""
 

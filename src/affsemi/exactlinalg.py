@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import index as _operator_index
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionError, RankDeficientError, SingularMatrixError
+from .errors import DimensionError, RankDeficientError
 
 Vector = tuple[int, ...]
 
@@ -44,21 +44,14 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "IntMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(tuple(rows))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "IntMatrix":
-        cols = [as_vector(c) for c in columns]
-        if not cols:
-            raise DimensionError("matrix must have at least one column")
-        height = len(cols[0])
-        if any(len(c) != height for c in cols):
+        rows = tuple(zip(*columns))
+        if any(len(c) != len(rows) for c in columns):
             raise DimensionError("all columns must have the same length")
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(height)))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(rows)
 
     @property
     def nrows(self) -> int:
@@ -73,16 +66,6 @@ class IntMatrix:
 
     def columns(self) -> tuple[Vector, ...]:
         return tuple(self.column(j) for j in range(self.ncols))
-
-    def with_column(self, vector: Sequence) -> "IntMatrix":
-        """Return a copy with ``vector`` appended as an extra column."""
-        v = as_vector(vector)
-        if len(v) != self.nrows:
-            raise DimensionError("appended column has wrong length")
-        return IntMatrix(tuple(row + (v[i],) for i, row in enumerate(self.rows)))
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
 
 def _bareiss(rows: list[list[int]]) -> int:
@@ -146,22 +129,13 @@ def gcd_maximal_minors(matrix: IntMatrix) -> int:
     return g
 
 
-def lattice_basis(vectors: Iterable[Sequence], rank: Optional[int] = None) -> IntMatrix:
+def lattice_basis(vectors: Iterable[Sequence]) -> IntMatrix:
     """Hermite basis (as columns) of the lattice generated by the vectors.
 
     The result is a lower-triangular e x e matrix with positive diagonal and
     off-diagonal entries reduced below the diagonal entry of their row; its
     determinant equals the covolume of the lattice.  Raises
     ``RankDeficientError`` when the vectors do not span rank e.
-
-    With ``rank`` below the length of the vectors, only the first ``rank``
-    coordinates are pivoted on and the trailing ones ride along: every
-    column operation of the reduction is applied to them too, so they record
-    which combination of the inputs each basis column is (the Hermite form
-    with a transformation matrix, Cohen, "A Course in Computational
-    Algebraic Number Theory", section 2.4, keeping only the chosen rows).  The
-    result then has ``rank`` columns; its first ``rank`` rows are the
-    Hermite basis of the lattice the leading coordinates span.
     """
     cols = [list(as_vector(v)) for v in vectors]
     if not cols:
@@ -169,12 +143,23 @@ def lattice_basis(vectors: Iterable[Sequence], rank: Optional[int] = None) -> In
     e = len(cols[0])
     if any(len(c) != e for c in cols):
         raise DimensionError("vectors have differing lengths")
-    if rank is not None:
-        e = rank
+    hermite_reduce(cols, e)
+    return IntMatrix(tuple(zip(*cols[:e])))
 
-    work = [c[:] for c in cols]
+
+def hermite_reduce(work: list[list[int]], rank: int) -> None:
+    """The reduction behind ``lattice_basis``, in place on columns of exact
+    integers; the basis ends up in ``work[:rank]``.
+
+    Only the first ``rank`` coordinates are pivoted on and any further ones
+    ride along: every column operation of the reduction is applied to them
+    too, so they record which combination of the inputs each basis column
+    is (the Hermite form with a transformation matrix, Cohen, "A Course in
+    Computational Algebraic Number Theory", section 2.4, keeping only the
+    chosen rows).
+    """
     n = len(work)
-    for i in range(e):
+    for i in range(rank):
         # Euclid on row i across columns i..n-1 until one nonzero entry is left.
         while True:
             pivot_at = None
@@ -185,7 +170,7 @@ def lattice_basis(vectors: Iterable[Sequence], rank: Optional[int] = None) -> In
                     pivot_at = j
             if pivot_at is None:
                 raise RankDeficientError(
-                    f"vectors span a lattice of rank below {e}"
+                    f"vectors span a lattice of rank below {rank}"
                 )
             work[i], work[pivot_at] = work[pivot_at], work[i]
             pivot = work[i][i]
@@ -207,7 +192,6 @@ def lattice_basis(vectors: Iterable[Sequence], rank: Optional[int] = None) -> In
             q = work[j][i] // pivot
             if q:
                 work[j] = [a - q * b for a, b in zip(work[j], work[i])]
-    return IntMatrix.from_columns(work[:e])
 
 
 def cramer_numerators(matrix: IntMatrix, vector: Sequence) -> Vector:
@@ -231,32 +215,16 @@ def cramer_numerators(matrix: IntMatrix, vector: Sequence) -> Vector:
     return tuple(nums)
 
 
-def solve_square_integer(matrix: IntMatrix, vector: Sequence) -> Optional[Vector]:
-    """Solve B x = v over the integers, or return None.
-
-    Returns the unique integer solution when every Cramer ratio is integral;
-    returns None when the (unique, rational) solution is not integral, i.e.
-    when v is not in the lattice spanned by the columns of B.
-    """
-    det = determinant(matrix)
-    if det == 0:
-        raise SingularMatrixError("matrix is singular")
-    nums = cramer_numerators(matrix, vector)
-    if any(num % det for num in nums):
-        return None
-    return tuple(num // det for num in nums)
-
-
 def solve_lower_triangular(basis: IntMatrix, vector: Sequence) -> Optional[Vector]:
     """Integer forward substitution against a lower-triangular basis.
 
     ``basis`` must be square, lower-triangular with nonzero diagonal (as
     produced by ``lattice_basis``).  Returns the coefficients expressing
     ``vector`` over the basis columns, or None when ``vector`` is not in the
-    lattice.
+    lattice.  The entries of ``vector`` must already be exact integers.
     """
     e = basis.nrows
-    v = list(as_vector(vector))
+    v = list(vector)
     if len(v) != e:
         raise DimensionError("vector length does not match basis size")
     coeffs = []

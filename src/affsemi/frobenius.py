@@ -298,17 +298,6 @@ def conductor_set(
     return tuple(sorted(add(g, w) for w in minimal_cone_points(system)))
 
 
-def sylvester_number(v1: int, v2: int) -> int:
-    """Largest integer not representable over two coprime generators:
-    (v1 - 1) * (v2 - 1) - 1."""
-    v1, v2 = as_int(v1), as_int(v2)
-    if v1 < 2 or v2 < 2:
-        raise ValueError("both generators must be at least 2")
-    if math.gcd(v1, v2) != 1:
-        raise ValueError(f"generators must be coprime, gcd is {math.gcd(v1, v2)}")
-    return (v1 - 1) * (v2 - 1) - 1
-
-
 def apery_set(values: Sequence[int]) -> tuple[Optional[int], ...]:
     """Apery set of the semigroup generated by ``values`` modulo their minimum.
 

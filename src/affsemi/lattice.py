@@ -21,6 +21,7 @@ from .exactlinalg import (
     adjugate,
     as_vector,
     determinant,
+    hermite_reduce,
     lattice_basis,
     solve_lower_triangular,
 )
@@ -81,7 +82,7 @@ class GeneratorSystem:
                 )
             if not any(v):
                 raise InvalidGeneratorsError(f"generator {i + 1} is the zero vector")
-        leading = IntMatrix.from_columns(gens[:e])
+        leading = IntMatrix(tuple(zip(*gens[:e])))
         det = determinant(leading)
         if det == 0:
             raise InvalidGeneratorsError(
@@ -100,7 +101,7 @@ class GeneratorSystem:
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Sequence[int]]) -> "GeneratorSystem":
-        vecs = tuple(as_vector(v) for v in vectors)
+        vecs = tuple(vectors)
         if not vecs:
             raise InvalidGeneratorsError("no generators given")
         return cls(len(vecs[0]), vecs)
@@ -141,13 +142,6 @@ class StandardRepresentation:
     level: int
     coefficients: Vector
 
-    def vector(self, system: GeneratorSystem) -> Vector:
-        total = (0,) * system.ambient_dim
-        for coeff, gen in zip(self.coefficients, system.generators):
-            if coeff:
-                total = add(total, scale(gen, coeff))
-        return total
-
     def head(self, system: GeneratorSystem) -> Vector:
         """Coefficients of the leading (unconstrained-sign) generators."""
         return self.coefficients[: system.ambient_dim]
@@ -178,7 +172,7 @@ class LatticeChain:
 
     def contains(self, vector: Sequence[int], level: int) -> bool:
         """Fast group-membership test via the Hermite basis."""
-        return solve_lower_triangular(self.bases[level], vector) is not None
+        return solve_lower_triangular(self.bases[level], as_vector(vector)) is not None
 
 
 def build_chain(system: GeneratorSystem) -> LatticeChain:
@@ -221,10 +215,10 @@ def _insert(basis: IntMatrix, vector: Vector) -> tuple[IntMatrix, Vector]:
     coefficient of ``vector`` over the old lattice.
     """
     e = basis.nrows
-    tagged = lattice_basis(
-        [column + (0,) for column in basis.columns()] + [vector + (1,)], rank=e
-    )
-    return IntMatrix(tagged.rows[:e]), tagged.rows[e]
+    work = [list(column) + [0] for column in basis.columns()] + [list(vector) + [1]]
+    hermite_reduce(work, e)
+    rows = tuple(zip(*work[:e]))
+    return IntMatrix(rows[:e]), rows[e]
 
 
 def _covolume(basis: IntMatrix) -> int:
@@ -241,29 +235,6 @@ def _index(covolume: int, basis: IntMatrix) -> int:
             "covolumes must divide along the chain; this is a bug"
         )
     return quotient
-
-
-def group_membership(chain: LatticeChain, vector: Sequence[int], level: int) -> bool:
-    """Whether ``vector`` lies in the level-``level`` group.
-
-    Decided by forward substitution against the level's Hermite basis.
-    """
-    _check_level(chain, level)
-    return chain.contains(vector, level)
-
-
-def multiple_order(chain: LatticeChain, vector: Sequence[int], level: int) -> int:
-    """Smallest q >= 1 with q * vector in the level group.
-
-    Equals the index of the level group inside the group it spans together
-    with ``vector``, read off one tagged insertion; members have order 1.
-    """
-    _check_level(chain, level)
-    v = as_vector(vector)
-    if not any(v):
-        raise ValueError("multiple_order is undefined for the zero vector")
-    extended, _ = _insert(chain.bases[level], v)
-    return _index(chain.minor_gcds[level], extended)
 
 
 def standard_representation(

@@ -51,6 +51,9 @@ from .semigroup import ConditionReport, validate_conditions
 #: Hard cap on dense-grid size, as a plain safety net against runaway boxes.
 MAX_GRID_CELLS = 80_000_000
 
+#: Cap on the memory of one verification sweep, in bytes (peaks under 1 GB).
+MAX_SWEEP_BYTES = 2**29
+
 #: Largest magnitude allowed inside int64 vectorised arithmetic.
 _INT64_SAFE = 2**62
 
@@ -371,13 +374,15 @@ def fast_membership_grid(
 def _sweep_span(system: GeneratorSystem, margin: int) -> Vector:
     """margin * (sum of the leading generators): the extent of the box that
     both verification sweeps scan, refused before anything is allocated
-    when the box holds more than MAX_GRID_CELLS points."""
+    when its arrays would pass MAX_SWEEP_BYTES: at its peak a sweep holds
+    about seven int64 arrays of e entries per box cell (measured: 52, 92 and
+    155 bytes a cell for e = 1, 2, 3)."""
     envelope = system.leading()[0]
     for v in system.leading()[1:]:
         envelope = add(envelope, v)
     span = scale(envelope, margin)
     cells = math.prod(s + 1 for s in span)
-    if cells > MAX_GRID_CELLS:
+    if cells * 7 * 8 * system.ambient_dim > MAX_SWEEP_BYTES:
         raise ValueError(f"verification box of {cells} cells exceeds the safety cap")
     return span
 

@@ -30,7 +30,6 @@ from affsemi import (
     qo_semigroup,
     random_conditioned_system,
     reachable_grid,
-    sylvester_number,
     verify_theorem1,
 )
 from affsemi.errors import InvalidExponentsError
@@ -171,10 +170,8 @@ def test_criterion_07_sylvester_sweep():
             v2 = rng.randint(v1 + 1, 150)
             if math.gcd(v1, v2) != 1:
                 continue
-            assert sylvester_number(v1, v2) == frobenius_number_dp([v1, v2]), (
-                v1,
-                v2,
-            )
+            frobenius = frobenius_vector(*analyzed([(v1,), (v2,)])).vector
+            assert frobenius == (frobenius_number_dp([v1, v2]),), (v1, v2)
             seen += 1
 
 

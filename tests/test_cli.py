@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,55 @@ class TestAnalyze:
         assert code == 0
         assert "frobenius vector: (2,1)" in out
         assert "conductor: (3,2) (3,3)" in out
+
+
+_HUGE = "1000000000000000000"
+_UNDECIDED_NOTES = (
+    "conditions: NOT satisfied\n"
+    "note: strict-descent condition fails at level 1: generator 3 does not "
+    "enlarge the group of its predecessors\n"
+    "note: scaled-membership condition fails at level 1: 1*3 = 3 could not be "
+    "decided within the search budget\n"
+    "note: the closed-form value 1999999999999999997 is not a valid Frobenius "
+    "vector here\n"
+)
+
+
+class TestDiagnosticsBudget:
+    """The witness search behind the "indeed ... lies in the semigroup" note
+    visits at most --budget nodes (and at most 500 000)."""
+
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (
+                ["analyze", "3", "3", _HUGE, _HUGE, "--budget", "0"],
+                f"generators: 3 3 {_HUGE} {_HUGE}\nminor gcds: 3 3 1 1\n"
+                "indices:    1 3 1\n" + _UNDECIDED_NOTES,
+            ),
+            (
+                ["verify", "3", "3", "3", _HUGE, "--margin", "0", "--budget", "0"],
+                f"generators: 3 3 3 {_HUGE}\nminor gcds: 3 3 3 1\n"
+                "indices:    1 1 3\n" + _UNDECIDED_NOTES,
+            ),
+        ],
+        ids=["analyze", "verify"],
+    )
+    def test_zero_budget_answers_at_once(self, argv, stdout):
+        start = time.perf_counter()
+        code, out, _ = run_cli(argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == stdout
+
+    def test_small_budget_leaves_out_the_witness_note(self):
+        code, out, _ = run_cli(["analyze", "8", "10", "11", "--budget", "3"])
+        assert code == 3
+        assert "could not be decided" in out
+        assert "indeed" not in out
+        code, out, _ = run_cli(["analyze", "8", "10", "11"])
+        assert code == 3
+        assert "note: indeed 33 = 3*11 lies in the semigroup" in out
 
 
 class TestMember:

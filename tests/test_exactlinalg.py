@@ -9,13 +9,11 @@ from affsemi import (
     DimensionError,
     IntMatrix,
     RankDeficientError,
-    SingularMatrixError,
     adjugate,
     cramer_numerators,
     determinant,
     gcd_maximal_minors,
     lattice_basis,
-    solve_square_integer,
 )
 from affsemi.exactlinalg import solve_lower_triangular
 
@@ -44,7 +42,7 @@ class TestDeterminant:
         assert determinant(columns((1, 3), (3, 2))) == -7
 
     def test_identity(self):
-        assert determinant(IntMatrix.identity(3)) == 1
+        assert determinant(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
 
     def test_planar_pair(self):
         assert determinant(columns((4, 6), (6, 3))) == -24
@@ -104,7 +102,7 @@ class TestGcdMaximalMinors:
         combo = [
             a * cols[0][i] + b * cols[-1][i] for i in range(2)
         ]
-        extended = matrix.with_column(combo)
+        extended = IntMatrix.from_columns(cols + [combo])
         assert gcd_maximal_minors(extended) == gcd_maximal_minors(matrix)
 
 
@@ -148,39 +146,6 @@ class TestLatticeBasis:
                 lattice_basis(vectors)
         else:
             assert abs(determinant(lattice_basis(vectors))) == expected
-
-
-class TestSolveSquareInteger:
-    def test_rational_solution_rejected(self):
-        assert solve_square_integer(columns((1, 3), (3, 2)), (1, 1)) is None
-
-    def test_identity(self):
-        assert solve_square_integer(IntMatrix.identity(3), (5, -2, 0)) == (5, -2, 0)
-
-    def test_scalar_lattice(self):
-        assert solve_square_integer(IntMatrix.from_rows([[2]]), (2,)) == (1,)
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            solve_square_integer(columns((1, 2), (2, 4)), (1, 1))
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.integers(-10, 10), min_size=3, max_size=3),
-            min_size=3,
-            max_size=3,
-        ),
-        st.lists(st.integers(-6, 6), min_size=3, max_size=3),
-    )
-    def test_round_trip(self, cols, coeffs):
-        matrix = IntMatrix.from_columns(cols)
-        if determinant(matrix) == 0:
-            return
-        image = tuple(
-            sum(coeffs[j] * cols[j][i] for j in range(3)) for i in range(3)
-        )
-        assert solve_square_integer(matrix, image) == tuple(coeffs)
 
 
 class TestHelpers:

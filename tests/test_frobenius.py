@@ -22,7 +22,6 @@ from affsemi import (
     membership_fast,
     minimal_cone_points,
     random_conditioned_system,
-    sylvester_number,
     validate_conditions,
 )
 from affsemi.errors import SearchBudgetExceededError
@@ -329,17 +328,6 @@ class TestMinimalConePointsEnumeration:
 
 
 class TestSylvesterAndGaps:
-    def test_smallest_case(self):
-        assert sylvester_number(2, 3) == 1
-
-    def test_against_sieve(self):
-        assert sylvester_number(4, 7) == 17 == frobenius_number_dp([4, 7])
-        assert sylvester_number(5, 8) == 27 == frobenius_number_dp([5, 8])
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            sylvester_number(4, 6)
-
     def test_matches_two_generator_formula(self, numerical_example):
         rng = random.Random(31)
         import math
@@ -351,7 +339,7 @@ class TestSylvesterAndGaps:
                 continue
             system, chain, report = analyzed([(min(a, b),), (max(a, b),)])
             assert frobenius_vector(system, chain, report).vector == (
-                sylvester_number(a, b),
+                frobenius_number_dp([a, b]),
             )
 
     def test_gap_lists(self):

@@ -24,6 +24,7 @@ from affsemi import (
 from affsemi.frobenius import conductor_set, frobenius_formula
 from affsemi.lattice import add, scale, sub
 from affsemi.oracle import (
+    MAX_GRID_CELLS,
     _box_points,
     _close_under_generators,
     _coprime_values,
@@ -205,8 +206,8 @@ class TestVerifyConductor:
 
 
 class TestSweepCap:
-    """A sweep box beyond MAX_GRID_CELLS is refused before anything is
-    allocated; these inputs exercise only the refusal."""
+    """A sweep box whose arrays would pass MAX_SWEEP_BYTES is refused before
+    anything is allocated; these inputs exercise only the refusal."""
 
     def test_theorem_box_of_a_lone_huge_generator(self):
         system, chain, _ = analyzed([(10**19,)])
@@ -219,6 +220,17 @@ class TestSweepCap:
         g = frobenius_formula(system, chain)
         with pytest.raises(ValueError, match="verification box"):
             verify_conductor(system, chain, [(g[0] + 1,)], margin=1)
+
+    def test_box_under_the_cell_cap_but_over_the_byte_cap(self):
+        # 201^3 cells: a tenth of MAX_GRID_CELLS, but about 1.3 GB of int64
+        # sweep arrays.
+        system, chain, _ = analyzed([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        g = frobenius_formula(system, chain)
+        assert 201**3 < MAX_GRID_CELLS
+        with pytest.raises(ValueError, match="verification box of 8120601 cells"):
+            verify_theorem1(system, chain, g, margin=200)
+        with pytest.raises(ValueError, match="verification box of 8120601 cells"):
+            verify_conductor(system, chain, [(0, 0, 0)], margin=200)
 
 
 class TestFastMembershipGrid:
