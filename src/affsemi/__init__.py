@@ -66,9 +66,7 @@ __version__ = "0.1.0"
 def __getattr__(name):
     # The oracle loads numpy, so its names are imported on first access.
     if name in (
-        "BoxSpec",
         "TheoremCheck",
-        "enumerate_semigroup",
         "fast_membership_grid",
         "frobenius_number_dp",
         "numerical_gaps_dp",
@@ -84,7 +82,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BoxSpec",
     "CONDITIONS_UNMET",
     "ConditionReport",
     "ConditionsUnmetError",
@@ -119,7 +116,6 @@ __all__ = [
     "curve_semigroup",
     "determinant",
     "diophantine_solve",
-    "enumerate_semigroup",
     "fast_membership_grid",
     "frobenius_number_dp",
     "frobenius_subset",

@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affsemi import (
-    BoxSpec,
     NotFullLatticeError,
-    enumerate_semigroup,
     fast_membership_grid,
     frobenius_number_dp,
     frobenius_vector,
@@ -29,24 +27,28 @@ from affsemi.oracle import (
     _close_under_generators,
     _coprime_values,
     _cone_numerators,
-    _reachable_set_sparse,
 )
 from tests.conftest import analyzed, make_system
+
+#: A four-dimensional system: 2 times the standard basis plus (1, 1, 1, 1).
+FOUR_DIM = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 1, 1)]
+
+
+def semigroup_points(system, upper):
+    """The members of the semigroup in [0, upper], from ``reachable_grid``."""
+    grid = reachable_grid(system, upper)
+    return {tuple(int(x) for x in row) for row in np.argwhere(grid)}
 
 
 class TestEnumerate:
     def test_numerical_box(self, numerical_example):
         system, _, _ = numerical_example
-        got = enumerate_semigroup(system, BoxSpec.origin_to((12,)))
+        got = semigroup_points(system, (12,))
         assert got == {(0,), (4,), (6,), (7,), (8,), (10,), (11,), (12,)}
-
-    def test_window_above_origin(self):
-        system = make_system([(7,)])
-        assert enumerate_semigroup(system, BoxSpec((1,), (5,))) == set()
 
     def test_unimodular_contains_generator_sums(self, unimodular_example):
         system, _, _ = unimodular_example
-        got = enumerate_semigroup(system, BoxSpec.origin_to((4, 4)))
+        got = semigroup_points(system, (4, 4))
         assert (2, 4) in got  # v1 + v3
         assert (4, 3) in got  # v2 + v3
         assert (0, 0) in got
@@ -54,8 +56,8 @@ class TestEnumerate:
 
     def test_monotone_under_box_growth(self, numerical_example):
         system, _, _ = numerical_example
-        small = enumerate_semigroup(system, BoxSpec.origin_to((15,)))
-        large = enumerate_semigroup(system, BoxSpec.origin_to((30,)))
+        small = semigroup_points(system, (15,))
+        large = semigroup_points(system, (30,))
         assert small <= large
 
     def test_agrees_with_bruteforce_pointwise(self):
@@ -63,30 +65,17 @@ class TestEnumerate:
             system, _, _ = analyzed(vectors)
             e = system.ambient_dim
             top = 18 if e == 1 else 9
-            box = BoxSpec.origin_to((top,) * e)
-            enumerated = enumerate_semigroup(system, box)
+            enumerated = semigroup_points(system, (top,) * e)
             for point in itertools.product(range(top + 1), repeat=e):
                 brute = membership_bruteforce(system.generators, point)
                 assert (point in enumerated) == (brute is not None), point
 
-    def test_sparse_path_matches_dense_logic(self):
-        system = make_system(
-            [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 1, 1)]
-        )
-        got = enumerate_semigroup(system, BoxSpec.origin_to((3, 3, 3, 3)))
+    def test_four_dimensional_grid_matches_bruteforce(self):
+        system = make_system(FOUR_DIM)
+        got = semigroup_points(system, (3, 3, 3, 3))
         for point in itertools.product(range(4), repeat=4):
             brute = membership_bruteforce(system.generators, point)
             assert (point in got) == (brute is not None), point
-
-    def test_sparse_helper_matches_grid(self, unimodular_example):
-        system, _, _ = unimodular_example
-        upper = (6, 6)
-        grid = reachable_grid(system, upper)
-        sparse = _reachable_set_sparse(system, upper)
-        dense = {
-            tuple(int(x) for x in row) for row in np.argwhere(grid)
-        }
-        assert dense == sparse
 
 
 class TestNumericalSieve:
@@ -160,19 +149,30 @@ class TestVerifyTheorem:
         assert check.counterexample == (33,)
 
     def test_scalar_and_vector_paths_agree(self, unimodular_example):
-        system, chain, report = unimodular_example
-        g = frobenius_vector(system, chain, report).vector
-        fast = verify_theorem1(system, chain, g, margin=2)
-        # Degrade to the scalar sweep by pretending int64 is unsafe.
         import affsemi.oracle as oracle_module
 
-        original = oracle_module._int64_safe
-        oracle_module._int64_safe = lambda *a: False
-        try:
-            slow = verify_theorem1(system, chain, g, margin=2)
-        finally:
-            oracle_module._int64_safe = original
-        assert fast == slow
+        for system, chain, report in (unimodular_example, analyzed(FOUR_DIM)):
+            g = frobenius_vector(system, chain, report).vector
+            fast = verify_theorem1(system, chain, g, margin=2)
+            # Degrade to the scalar sweep by pretending int64 is unsafe.
+            original = oracle_module._int64_safe
+            oracle_module._int64_safe = lambda *a: False
+            try:
+                slow = verify_theorem1(system, chain, g, margin=2)
+            finally:
+                oracle_module._int64_safe = original
+            assert fast == slow, system.generators
+
+    def test_four_dimensional_sweep_is_vectorised(self, monkeypatch):
+        import affsemi.oracle as oracle_module
+
+        def scalar_loop(*args):
+            raise AssertionError("the scalar box loop ran")
+
+        monkeypatch.setattr(oracle_module, "_iterate_box", scalar_loop)
+        system, chain, report = analyzed(FOUR_DIM)
+        g = frobenius_vector(system, chain, report).vector
+        assert verify_theorem1(system, chain, g, margin=3).holds
 
 
 class TestVerifyConductor:
@@ -198,6 +198,13 @@ class TestVerifyConductor:
         system, chain, _ = unimodular_example
         # (3,3) alone misses lattice points only covered through (3,2).
         assert not verify_conductor(system, chain, [(3, 3)], margin=3)
+
+    def test_far_negative_point_is_not_a_member(self):
+        # The membership grid spans [0, max of the conductor points], so a
+        # point far below the origin is refused, not turned into a bound.
+        system, chain, _ = analyzed([(2, 1), (1, 2), (1, 1)])
+        for margin in (0, 3):
+            assert not verify_conductor(system, chain, [(-100, 3)], margin)
 
     def test_requires_full_lattice(self, axes_example):
         system, chain, _ = axes_example
