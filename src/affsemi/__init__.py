@@ -46,6 +46,7 @@ from .semigroup import (
     ConditionReport,
     MembershipResult,
     ScaledMembershipCheck,
+    decide_conditions,
     membership_bruteforce,
     membership_fast,
     validate_conditions,
@@ -114,6 +115,7 @@ __all__ = [
     "conductor_set",
     "cramer_numerators",
     "curve_semigroup",
+    "decide_conditions",
     "determinant",
     "diophantine_solve",
     "fast_membership_grid",

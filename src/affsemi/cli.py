@@ -100,26 +100,28 @@ def _parse_vector(value) -> Vector:
     return (_parse_int(value),)
 
 
-def _load_document(path: str) -> dict:
+def _load_document(path: str, *required: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
     if not isinstance(document, dict):
         raise ValueError("input document must be a JSON object")
+    for key in required:
+        if key not in document:
+            raise ValueError(f"input document is missing {key!r}")
     return document
 
 
 def _system_from_args(args) -> GeneratorSystem:
     if args.input:
-        document = _load_document(args.input)
-        if "generators" not in document:
-            raise ValueError("input document is missing 'generators'")
+        document = _load_document(args.input, "generators")
         generators = [_parse_vector(v) for v in document["generators"]]
-        dim = _parse_int(document["e"]) if "e" in document else len(generators[0])
-        return GeneratorSystem(dim, tuple(generators))
-    if not args.generators:
+        if "e" in document:
+            return GeneratorSystem(_parse_int(document["e"]), tuple(generators))
+    elif args.generators:
+        generators = [_parse_vector(tok) for tok in args.generators]
+    else:
         raise ValueError("no generators given (positional tokens or --input)")
-    generators = [_parse_vector(tok) for tok in args.generators]
-    return GeneratorSystem(len(generators[0]), tuple(generators))
+    return GeneratorSystem.from_vectors(generators)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +405,7 @@ def cmd_analyze(args) -> int:
         _render(document, args.format, _human_analysis)
         return 3
     try:
-        frob = frobenius_subset(system, args.budget)
+        frob = frobenius_subset(system, chain)
     except ConditionsUnmetError:
         diagnostics.append(
             "subset fallback failed: the filtered generators still miss the "
@@ -420,6 +422,11 @@ def cmd_analyze(args) -> int:
             f"closed form applied to the subset keeping extra generators "
             f"[{kept}]; the vector is an upper threshold only and need not "
             "be minimal"
+        )
+    else:
+        diagnostics.append(
+            "the subset fallback dropped nothing and decided both conditions "
+            "without search: the closed-form value is the Frobenius vector"
         )
     document = _analysis_document(system, chain, report, frob, diagnostics)
     if document.get("true_frobenius_number") is not None:
@@ -533,14 +540,13 @@ def cmd_dioph(args) -> int:
 
 def cmd_curve(args) -> int:
     if args.input:
-        document = _load_document(args.input)
-        n = _parse_int(document["n"])
-        m = [_parse_int(x) for x in document["m"]]
+        document = _load_document(args.input, "n", "m")
+    elif len(args.values) < 2:
+        raise ValueError("curve needs the multiplicity followed by exponents")
     else:
-        if len(args.values) < 2:
-            raise ValueError("curve needs the multiplicity followed by exponents")
-        n = _parse_int(args.values[0])
-        m = [_parse_int(x) for x in args.values[1:]]
+        document = {"n": args.values[0], "m": args.values[1:]}
+    n = _parse_int(document["n"])
+    m = [_parse_int(x) for x in document["m"]]
     data = curve_semigroup(CurveExponents(n, tuple(m)))
     gap_list = (
         numerical_gaps(data.generators)
@@ -580,17 +586,15 @@ def _human_curve(document: dict) -> Iterator[str]:
 
 def cmd_quasi(args) -> int:
     if args.input:
-        document = _load_document(args.input)
-        n = _parse_int(document["n"])
-        m = [_parse_vector(v) for v in document["m"]]
-        dim = _parse_int(document["e"]) if "e" in document else len(m[0])
+        document = _load_document(args.input, "n", "m")
     else:
-        if args.n is None or not args.exponents:
-            raise ValueError("quasi needs --n and at least one exponent vector")
-        n = _parse_int(args.n)
-        m = [_parse_vector(tok) for tok in args.exponents]
-        dim = len(m[0])
-    data = qo_semigroup(QOExponents(dim, n, tuple(m)), args.budget)
+        document = {"n": args.n, "m": args.exponents}
+    if document["n"] is None or not document["m"]:
+        raise ValueError("quasi needs --n and at least one exponent vector")
+    n = _parse_int(document["n"])
+    m = [_parse_vector(v) for v in document["m"]]
+    dim = _parse_int(document["e"]) if "e" in document else len(m[0])
+    data = qo_semigroup(QOExponents(dim, n, tuple(m)))
     document = {
         "input": {"e": str(dim), "n": str(n), "m": [_sv(v) for v in m]},
         "generators": [_sv(v) for v in data.generators],

@@ -32,6 +32,7 @@ from .lattice import (
 )
 from .semigroup import (
     ConditionReport,
+    decide_conditions,
     membership_bruteforce,
     membership_fast,
     validate_conditions,
@@ -96,13 +97,13 @@ def frobenius_vector(
 ) -> FrobeniusReport:
     """Frobenius vector of the semigroup, requiring both chain conditions.
 
-    ``conditions`` is the report of ``validate_conditions`` on the same
-    system.  The two defining facts (the vector is in the group but not in
-    the semigroup, the latter through the standard representation) are
-    re-checked, and a failure raises ``AssertionError``.  When the
-    generators span all of Z^e and |det| is within
-    ``CONDUCTOR_ENUMERATION_LIMIT``, the result also carries the conductor
-    set.
+    ``conditions`` is the report of ``validate_conditions`` or
+    ``decide_conditions`` on the same system.  The two defining facts (the
+    vector is in the group but not in the semigroup, the latter through the
+    standard representation) are re-checked, and a failure raises
+    ``AssertionError``.  When the generators span all of Z^e and |det| is
+    within ``CONDUCTOR_ENUMERATION_LIMIT``, the result also carries the
+    conductor set.
     """
     if not conditions.all_hold:
         raise ConditionsUnmetError(
@@ -124,9 +125,7 @@ def frobenius_vector(
     return FrobeniusReport(vector=g, conductor=conductor)
 
 
-def frobenius_subset(
-    system: GeneratorSystem, search_budget: Optional[int] = None
-) -> FrobeniusReport:
+def frobenius_subset(system: GeneratorSystem, chain: LatticeChain) -> FrobeniusReport:
     """Frobenius threshold from the maximal strictly-descending subset.
 
     Extra generators already inside the group of their predecessors are
@@ -135,25 +134,25 @@ def frobenius_subset(
     flagged as threshold-only when anything was dropped, since the true
     Frobenius vector of the full system may be smaller.
 
-    The dropped generators are those of index 1 in the full chain: each lies
-    in the group of the kept ones before it, so every kept prefix spans the
-    same group as the full prefix.
+    The dropped generators are those of index 1 in ``chain``, the chain of
+    the full system: each lies in the group of the kept ones before it, so
+    every kept prefix spans the same group as the full prefix.  The subset's
+    conditions are decided without search.
     """
     e = system.ambient_dim
-    indices = build_chain(system).indices
-    kept = tuple(k for k, index in enumerate(indices, start=1) if index > 1)
+    kept = tuple(k for k, index in enumerate(chain.indices, start=1) if index > 1)
     extras = system.extras()
     subsystem = GeneratorSystem(
         e, system.leading() + tuple(extras[k - 1] for k in kept)
     )
-    chain = build_chain(subsystem)
-    report = validate_conditions(subsystem, chain, search_budget)
+    subchain = build_chain(subsystem)
+    report = decide_conditions(subsystem, subchain)
     if not report.all_hold:
         raise ConditionsUnmetError(
             "the filtered subset still fails the scaled-membership condition",
             report=report,
         )
-    base = frobenius_vector(subsystem, chain, report)
+    base = frobenius_vector(subsystem, subchain, report)
     if len(kept) == system.extra_count:
         return base
     return replace(base, threshold_only=True, used_subset=kept)

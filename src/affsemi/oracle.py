@@ -42,7 +42,6 @@ from .lattice import (
     add,
     build_chain,
     scale,
-    standard_representation,
     sub,
 )
 from .semigroup import ConditionReport, validate_conditions
@@ -143,12 +142,18 @@ def frobenius_number_dp(generators: Sequence[int]) -> int:
     return gap_list[-1] if gap_list else -1
 
 
-def _np_matrix(matrix: IntMatrix) -> np.ndarray:
-    return np.array(matrix.rows, dtype=np.int64)
-
-
 def _int64_safe(*bounds: int) -> bool:
     return all(abs(b) < _INT64_SAFE for b in bounds)
+
+
+def _cone_map(system: GeneratorSystem) -> IntMatrix:
+    """sign(det) adj(B) for the leading block B, so that the map sends u to
+    |det| B^-1 u.  Each public entry computes it once, from the generators
+    alone, and hands it to the sweeps."""
+    leading = system.leading_matrix()
+    sign = 1 if determinant(leading) > 0 else -1
+    adj = adjugate(leading)
+    return IntMatrix(tuple(tuple(sign * a for a in row) for row in adj.rows))
 
 
 def _substitution_growth(basis: IntMatrix, coord_bound: int) -> int:
@@ -166,46 +171,42 @@ def _substitution_growth(basis: IntMatrix, coord_bound: int) -> int:
     return growth
 
 
-def _sweep_int64_safe(
-    system: GeneratorSystem, basis: IntMatrix, coord_bound: int
-) -> bool:
-    """Whether the vectorised cone and lattice sweeps stay inside int64."""
-    adj = adjugate(system.leading_matrix())
-    adj_max = max(abs(x) for row in adj.rows for x in row)
-    e = system.ambient_dim
-    cone_bound = adj_max * coord_bound * (e + 1)
+def _sweep_int64_safe(cone_map: IntMatrix, basis: IntMatrix, coord_bound: int) -> bool:
+    """Whether the vectorised cone and lattice sweeps stay inside int64,
+    decided on exact integers before anything reaches numpy."""
+    adj_max = max(abs(x) for row in cone_map.rows for x in row)
+    cone_bound = adj_max * coord_bound * (cone_map.nrows + 1)
     return _int64_safe(cone_bound, _substitution_growth(basis, coord_bound))
 
 
-def _lattice_mask(basis: IntMatrix, points: np.ndarray) -> np.ndarray:
-    """Vectorised membership of row-points in the lattice of ``basis``.
+def _substitute(basis: IntMatrix, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised forward substitution of row-points against the
+    lower-triangular ``basis``.
 
-    Forward substitution against the lower-triangular basis; a point is a
-    member exactly when every pivot division is exact.
+    Returns the mask of points in its lattice (every pivot division exact)
+    and the coordinates over its columns, which are exact for those points.
     """
     e = basis.nrows
     work = points.astype(np.int64, copy=True)
     ok = np.ones(points.shape[:-1], dtype=bool)
+    coordinates = np.empty_like(work)
     for i in range(e):
         pivot = basis.rows[i][i]
         quotient = work[..., i] // pivot
         ok &= work[..., i] - quotient * pivot == 0
+        coordinates[..., i] = quotient
         column = np.array(basis.column(i), dtype=np.int64)
         work = work - quotient[..., None] * column
-    return ok
+    return ok, coordinates
 
 
-def _cone_numerators(system: GeneratorSystem, diffs: np.ndarray) -> np.ndarray:
-    """Scaled cone coordinates of row-vectors: adj(B) @ u, sign-corrected.
+def _cone_numerators(cone_map: IntMatrix, diffs: np.ndarray) -> np.ndarray:
+    """Scaled cone coordinates of row-vectors, ``cone_map`` @ u.
 
     Row u lies in the closed cone iff every output entry is >= 0, and in the
     open cone iff every entry is > 0.
     """
-    leading = system.leading_matrix()
-    det = determinant(leading)
-    adj = _np_matrix(adjugate(leading))
-    nums = diffs @ adj.T
-    return nums if det > 0 else -nums
+    return diffs @ np.array(cone_map.rows, dtype=np.int64).T
 
 
 def _box_points(lower: Vector, upper: Vector) -> np.ndarray:
@@ -213,10 +214,6 @@ def _box_points(lower: Vector, upper: Vector) -> np.ndarray:
     shape = tuple(u - l + 1 for l, u in zip(lower, upper))
     idx = np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T
     return idx + np.array(lower, dtype=np.int64)
-
-
-def _system_bound(system: GeneratorSystem) -> int:
-    return max(max(abs(x) for x in v) for v in system.generators)
 
 
 def fast_membership_grid(
@@ -227,12 +224,13 @@ def fast_membership_grid(
 ) -> np.ndarray:
     """Sign-criterion membership verdict for every point of [0, upper].
 
-    The standard representation is an affine function of the point within
-    each residue class modulo the leading-generator lattice, so one scalar
-    representation per class (of which there are only index-product many
-    among group points) extends to the whole grid by exact integer affine
-    arithmetic.  Produces exactly the verdicts of ``membership_fast``, and
-    like it takes the report of ``validate_conditions``.
+    The level walk of ``standard_representation`` run on every point at
+    once: from the top level down, forward substitution against the level's
+    Hermite basis gives coordinates whose tag sum, modulo the index, is the
+    residue of the level's generator, and that many copies are removed.  A
+    group point is a member exactly when the cone numerators of what is
+    left are all nonnegative.  Produces the verdicts of ``membership_fast``,
+    and like it takes the report of the conditions on the same system.
     """
     if not conditions.all_hold:
         raise ValueError("fast_membership_grid requires validated conditions")
@@ -241,66 +239,26 @@ def fast_membership_grid(
     shape = tuple(u + 1 for u in up)
     if math.prod(shape) > MAX_GRID_CELLS:
         raise ValueError("grid exceeds the safety cap")
-    leading = system.leading_matrix()
-    det = determinant(leading)
-    adj = adjugate(leading)
-    base0 = chain.bases[0]
-    coord_bound = max(up) + 1
+    cone_map = _cone_map(system)
+    extras = system.extras()
+    # Removing fewer than index_j copies of each v_j keeps every residual
+    # within this bound; tags and reduced coordinates stay below the index.
+    bound = max(up) + 1 + sum(
+        (index - 1) * max(v) for index, v in zip(chain.indices, extras)
+    )
     if not (
-        _sweep_int64_safe(system, chain.bases[-1], coord_bound)
-        and _int64_safe(_substitution_growth(base0, coord_bound))
+        all(_sweep_int64_safe(cone_map, basis, bound) for basis in chain.bases)
+        and _int64_safe(e * max(chain.indices, default=1) ** 2)
     ):
         raise ValueError("entries too large for the vectorised sweep")
-
-    points = _box_points((0,) * e, up)
-    in_group = _lattice_mask(chain.bases[-1], points)
-
-    # Canonical residue of each point modulo the leading-generator lattice,
-    # encoded in mixed radix along the Hermite diagonal.
-    work = points.copy()
-    key = np.zeros(len(points), dtype=np.int64)
-    stride = 1
-    strides = []
-    pivots = []
-    for i in range(e):
-        pivot = base0.rows[i][i]
-        quotient = work[:, i] // pivot
-        column = np.array(base0.column(i), dtype=np.int64)
-        work = work - quotient[:, None] * column
-        key += work[:, i] * stride
-        strides.append(stride)
-        pivots.append(pivot)
-        stride *= pivot
-
-    covolume = stride
-    offsets = np.zeros((covolume, e), dtype=np.int64)
-    adj_np = _np_matrix(adj)
-    adj_bound = max(abs(x) for row in adj.rows for x in row)
-    for class_key in np.unique(key[in_group]):
-        residue = []
-        remaining = int(class_key)
-        for i in range(e):
-            residue.append(remaining % pivots[i])
-            remaining //= pivots[i]
-        residue_vec = tuple(residue)
-        representation = standard_representation(chain, residue_vec)
-        if representation is None:
-            raise AssertionError(
-                "canonical residue of a group point must be a group point"
-            )
-        # Exact integer arithmetic first; refuse rather than wrap if the
-        # class constant cannot ride along in int64.
-        for i in range(e):
-            offset = det * representation.head(system)[i] - sum(
-                adj.rows[i][j] * residue_vec[j] for j in range(e)
-            )
-            if not _int64_safe(offset, offset + adj_bound * coord_bound * e):
-                raise ValueError("entries too large for the vectorised sweep")
-            offsets[class_key, i] = offset
-    nums = points @ adj_np.T + offsets[key]
-    if det < 0:
-        nums = -nums
-    verdict = in_group & np.all(nums >= 0, axis=1)
+    residual = _box_points((0,) * e, up)
+    in_group = _substitute(chain.bases[-1], residual)[0]
+    for j in range(chain.level_count, 0, -1):
+        index = chain.indices[j - 1]
+        coordinates = _substitute(chain.bases[j], residual)[1]
+        residue = (coordinates % index) @ np.array(chain.tags[j - 1]) % index
+        residual = residual - residue[:, None] * np.array(extras[j - 1])
+    verdict = in_group & np.all(_cone_numerators(cone_map, residual) >= 0, axis=1)
     return verdict.reshape(shape)
 
 
@@ -350,15 +308,16 @@ def verify_theorem1(
         return TheoremCheck(False, g)
 
     coord_bound = max(
-        _system_bound(system),
+        max(max(v) for v in system.generators),
         max(abs(x) for x in g),
         max(abs(x) for x in upper),
     )
-    if _sweep_int64_safe(system, chain.bases[-1], coord_bound):
+    cone_map = _cone_map(system)
+    if _sweep_int64_safe(cone_map, chain.bases[-1], coord_bound):
         points = _box_points(g, upper)
         diffs = points - np.array(g, dtype=np.int64)
-        beyond = np.all(_cone_numerators(system, diffs) > 0, axis=1)
-        in_group = _lattice_mask(chain.bases[-1], points)
+        beyond = np.all(_cone_numerators(cone_map, diffs) > 0, axis=1)
+        in_group = _substitute(chain.bases[-1], points)[0]
         nonneg = np.all(points >= 0, axis=1)
         member = np.zeros(len(points), dtype=bool)
         rows = points[nonneg]
@@ -409,9 +368,10 @@ def verify_conductor(
     points = _box_points((0,) * e, _sweep_span(system, margin))
     # The cone coordinates are linear, so u - w is in the closed cone
     # exactly when the coordinates of u dominate those of w.
-    numerators = _cone_numerators(system, points)
+    cone_map = _cone_map(system)
+    numerators = _cone_numerators(cone_map, points)
     offset_numerators = _cone_numerators(
-        system, np.array(offsets, dtype=np.int64).reshape(-1, e)
+        cone_map, np.array(offsets, dtype=np.int64).reshape(-1, e)
     )
     interior = np.all(numerators > 0, axis=1)
     covered = np.zeros(len(points), dtype=bool)

@@ -11,7 +11,9 @@ Two conditions make the closed-form Frobenius machinery applicable:
 representation (a member is exactly a group element whose leading
 coefficients are all nonnegative); ``membership_bruteforce`` decides it by a
 bounded search for an explicit nonnegative combination and serves as the
-independent cross-check.
+independent cross-check.  ``decide_conditions`` decides the conditions
+themselves by the same sign criterion, and ``validate_conditions`` by the
+search.
 """
 
 from __future__ import annotations
@@ -108,6 +110,29 @@ def validate_conditions(
     )
 
 
+def decide_conditions(system: GeneratorSystem, chain: LatticeChain) -> ConditionReport:
+    """Both chain conditions, decided level by level by the sign criterion.
+
+    Once levels 1 .. k-1 hold, index_k * v_{e+k} is a member of the level
+    k-1 semigroup exactly when its standard representation at level k-1 has
+    nonnegative leading coefficients, and that representation is then the
+    witness.  The scaled checks stop at the first level that fails either
+    condition, since the criterion is not valid above it.  No search runs,
+    so every reported level is decided.
+    """
+    e = system.ambient_dim
+    violation = next((k for k, i in enumerate(chain.indices, 1) if i == 1), None)
+    checks = []
+    for k in range(1, (violation or system.extra_count) + 1):
+        target = scale(system.generators[e + k - 1], chain.indices[k - 1])
+        witness = standard_representation(chain, target, k - 1).coefficients
+        holds = all(c >= 0 for c in witness[:e])
+        checks.append(ScaledMembershipCheck(k, holds, witness if holds else None))
+        if not holds:
+            break
+    return ConditionReport(violation is None, violation, tuple(checks))
+
+
 def membership_fast(
     system: GeneratorSystem,
     chain: LatticeChain,
@@ -116,10 +141,10 @@ def membership_fast(
 ) -> MembershipResult:
     """Membership via the sign pattern of the standard representation.
 
-    ``conditions`` is the report of ``validate_conditions`` on the same
-    system.  Requires both chain conditions; refuses (rather than silently
-    degrading) when they fail, because the sign criterion is only valid
-    under them.
+    ``conditions`` is the report of ``validate_conditions`` or
+    ``decide_conditions`` on the same system.  Requires both chain
+    conditions; refuses (rather than silently degrading) when they fail,
+    because the sign criterion is only valid under them.
     """
     if not conditions.all_hold:
         raise ConditionsUnmetError(

@@ -20,18 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import InvalidExponentsError, SearchBudgetExceededError
+from .errors import InvalidExponentsError
 from .exactlinalg import Vector, as_int, as_vector
 from .frobenius import FrobeniusReport, frobenius_vector
-from .lattice import (
-    GeneratorSystem,
-    LatticeChain,
-    build_chain,
-    standard_representation,
-)
-from .semigroup import ConditionReport, validate_conditions
+from .lattice import GeneratorSystem, LatticeChain, build_chain
+from .semigroup import ConditionReport, decide_conditions
 
 
 @dataclass(frozen=True)
@@ -99,11 +94,10 @@ def curve_semigroup(exponents: CurveExponents) -> CurveSemigroupData:
     The conductor is sum (index_k - 1) * r_k - r_0 + 1; it equals the Milnor
     number, and exactly half of the integers below it are gaps.  Each scaled
     generator index_k * r_k is re-checked to lie in the semigroup of its
-    predecessors by the sign criterion: its standard representation over
-    the chain of r_0 .. r_{k-1} has a nonnegative r_0 coefficient.  The
-    criterion holds at level k-1 because every lower level has passed, and
-    it costs O(h) steps for h exponents whatever the multiplicity; valid
-    exponent data always passes.
+    predecessors by ``decide_conditions``: its standard representation over
+    the chain of r_0 .. r_{k-1} has a nonnegative r_0 coefficient.  That
+    costs O(h^2) lattice steps for h exponents whatever the multiplicity;
+    valid exponent data always passes.
     """
     n = exponents.multiplicity
     m = exponents.exponents
@@ -115,16 +109,14 @@ def curve_semigroup(exponents: CurveExponents) -> CurveSemigroupData:
     conductor = sum((indices[k] - 1) * r[k + 1] for k in range(len(m))) - n + 1
     if conductor % 2:
         raise AssertionError("the conductor of a branch semigroup is even")
-    chain = build_chain(GeneratorSystem(1, tuple((x,) for x in r)))
-    for k in range(1, len(r)):
-        representation = standard_representation(
-            chain, (indices[k - 1] * r[k],), k - 1
+    system = GeneratorSystem(1, tuple((x,) for x in r))
+    conditions = decide_conditions(system, build_chain(system))
+    if not conditions.all_hold:
+        k = conditions.scaled[-1].level
+        raise InvalidExponentsError(
+            f"scaled generator {indices[k - 1]}*{r[k]} is not representable "
+            "over its predecessors; exponent data is inconsistent"
         )
-        if representation is None or representation.coefficients[0] < 0:
-            raise InvalidExponentsError(
-                f"scaled generator {indices[k - 1]}*{r[k]} is not representable "
-                "over its predecessors; exponent data is inconsistent"
-            )
     return CurveSemigroupData(
         generators=tuple(r),
         gcd_chain=d,
@@ -244,9 +236,7 @@ class QOSemigroupData:
         return self.system.generators
 
 
-def qo_semigroup(
-    exponents: QOExponents, search_budget: Optional[int] = None
-) -> QOSemigroupData:
+def qo_semigroup(exponents: QOExponents) -> QOSemigroupData:
     """Build the semigroup generators and Frobenius vector from QO exponents.
 
     The derived generators follow the vector recursion
@@ -254,10 +244,8 @@ def qo_semigroup(
     n*(standard basis) followed by the r_k.  Two consistency facts are
     re-checked: swapping exponents for derived generators leaves the
     minor-gcd chain unchanged, and the system satisfies both chain
-    conditions, so the closed-form Frobenius vector applies.  The
-    scaled-membership searches of that check visit at most
-    ``search_budget`` nodes each; ``SearchBudgetExceededError`` is raised
-    when one is left undecided.
+    conditions (decided by the sign criterion, without search), so the
+    closed-form Frobenius vector applies.
     """
     m = exponents.exponents
     minor_gcds = exponents.minor_gcds
@@ -277,14 +265,8 @@ def qo_semigroup(
             "derived generators change the minor-gcd chain; exponent data is "
             "inconsistent"
         )
-    conditions = validate_conditions(system, chain, search_budget)
+    conditions = decide_conditions(system, chain)
     if not conditions.all_hold:
-        failure = conditions.first_scaled_failure()
-        if failure is not None and failure.undecided:
-            raise SearchBudgetExceededError(
-                f"the scaled-membership search at level {failure.level} "
-                f"exceeded {search_budget} nodes"
-            )
         raise InvalidExponentsError(
             "derived generators fail the chain conditions; exponent data is "
             "inconsistent"

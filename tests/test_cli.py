@@ -114,6 +114,27 @@ class TestAnalyze:
         code, _, err = run_cli(["quasi", "1,1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            (["curve"], {"m": [6, 7]}),
+            (["curve"], {"n": 4}),
+            (["quasi"], {"m": [[1, 1]]}),
+            (["quasi"], {"n": 2}),
+            (["quasi"], {"n": 2, "m": []}),
+            (["analyze"], {"generators": []}),
+            (["member", "--point", "1"], {"generators": []}),
+            (["dioph", "--target", "1"], {"generators": []}),
+            (["verify"], {"generators": []}),
+        ],
+    )
+    def test_malformed_document_exits_two(self, command, document, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(command + ["--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "internal error" not in err
+
     def test_json_input(self, tmp_path):
         path = tmp_path / "system.json"
         path.write_text(
@@ -172,6 +193,17 @@ class TestDiagnosticsBudget:
         code, out, _ = run_cli(["analyze", "8", "10", "11"])
         assert code == 3
         assert "note: indeed 33 = 3*11 lies in the semigroup" in out
+
+    def test_small_budget_subset_fallback_is_decided(self):
+        # The search leaves level 1 undecided; the fallback keeps every
+        # generator and decides the conditions without search.
+        code, out, _ = run_cli(
+            ["analyze", "1,3", "3,2", "1,1", "--allow-subset", "--budget", "3"]
+        )
+        assert code == 0
+        assert "could not be decided within the search budget" in out
+        assert "frobenius vector: (2,1)\nconductor: (3,2) (3,3)\n" in out
+        assert "the subset fallback dropped nothing" in out
 
 
 class TestMember:
@@ -289,14 +321,14 @@ class TestCurveAndQuasi:
         assert document["minor_gcds"] == ["4", "2"]
 
     def test_quasi_honours_the_search_budget(self):
-        code, out, err = run_cli(
-            ["quasi", "--n", "3", "1000000000000000000,0", "--budget", "1000"]
-        )
-        assert (code, out) == (3, "")
-        assert err == (
-            "error: the scaled-membership search at level 1 exceeded 1000 nodes; "
-            "raise --budget to decide\n"
-        )
+        # The conditions are decided by the sign criterion, so no search
+        # runs and the budget, however small, is never reached.
+        code, out, err = run_cli([
+            "quasi", "--n", "3", "1000000000000000000,0", "--budget", "1000",
+            "--format", "machine",
+        ])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["frobenius"] == ["1999999999999999997", "-3"]
 
     def test_quasi_json_input(self, tmp_path):
         path = tmp_path / "qo.json"

@@ -95,27 +95,44 @@ class TestFrobeniusVector:
 class TestFrobeniusSubset:
     def test_degenerate_numerical(self):
         system = make_system([(4,), (6,), (7,), (9,)])
-        report = frobenius_subset(system)
+        report = frobenius_subset(system, build_chain(system))
         assert report.vector == (9,)
         assert report.threshold_only
         assert report.used_subset == (1, 2)
         assert frobenius_number_dp([4, 6, 7, 9]) == 5
 
     def test_threshold_really_covers(self):
-        report = frobenius_subset(make_system([(4,), (6,), (7,), (9,)]))
+        system = make_system([(4,), (6,), (7,), (9,)])
+        report = frobenius_subset(system, build_chain(system))
         threshold = report.vector[0]
         for value in range(threshold + 1, threshold + 40):
             assert membership_bruteforce([(4,), (6,), (7,), (9,)], (value,))
 
     def test_identity_when_conditions_hold(self, skew_example):
         system, chain, report = skew_example
-        assert frobenius_subset(system) == frobenius_vector(system, chain, report)
+        expected = frobenius_vector(system, chain, report)
+        assert frobenius_subset(system, chain) == expected
 
     def test_redundant_generator_in_middle(self):
         # 8 sits in the group of (4, 6) and is skipped wherever it appears.
-        report = frobenius_subset(make_system([(4,), (6,), (8,), (7,)]))
+        system = make_system([(4,), (6,), (8,), (7,)])
+        report = frobenius_subset(system, build_chain(system))
         assert report.used_subset == (1, 3)
         assert report.vector == (9,)
+
+    def test_decides_without_search(self, monkeypatch):
+        import affsemi.semigroup
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the witness search ran")
+
+        monkeypatch.setattr(affsemi.semigroup, "membership_bruteforce", no_search)
+        monkeypatch.setattr(frobenius, "membership_bruteforce", no_search)
+        system = make_system([(4,), (6,), (7,), (9,)])
+        assert frobenius_subset(system, build_chain(system)).vector == (9,)
+        system = make_system([(8,), (10,), (11,)])
+        with pytest.raises(ConditionsUnmetError):
+            frobenius_subset(system, build_chain(system))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 4))
@@ -125,9 +142,9 @@ class TestFrobeniusSubset:
             expected = prefix_loop_subset(system)
         except ConditionsUnmetError:
             with pytest.raises(ConditionsUnmetError):
-                frobenius_subset(system)
+                frobenius_subset(system, build_chain(system))
             return
-        assert frobenius_subset(system) == expected
+        assert frobenius_subset(system, build_chain(system)) == expected
 
 
 def prefix_loop_subset(system):

@@ -26,6 +26,7 @@ from affsemi.oracle import (
     _box_points,
     _close_under_generators,
     _coprime_values,
+    _cone_map,
     _cone_numerators,
 )
 from tests.conftest import analyzed, make_system
@@ -269,6 +270,14 @@ class TestFastMembershipGrid:
             dp = reachable_grid(system, upper)
             assert np.array_equal(fast, dp)
 
+    def test_refuses_when_int64_is_unsafe(self, unimodular_example, monkeypatch):
+        import affsemi.oracle as oracle_module
+
+        system, chain, report = unimodular_example
+        monkeypatch.setattr(oracle_module, "_int64_safe", lambda *a: False)
+        with pytest.raises(ValueError, match="too large for the vectorised sweep"):
+            fast_membership_grid(system, chain, (4, 4), report)
+
 
 class TestRandomSystems:
     def test_generator_produces_valid_instances(self):
@@ -333,11 +342,12 @@ def verify_conductor_pointwise(system, chain, conductor, margin=3):
     for v in system.leading()[1:]:
         envelope = add(envelope, v)
     points = _box_points((0,) * e, scale(envelope, margin))
-    interior = np.all(_cone_numerators(system, points) > 0, axis=1)
+    cone_map = _cone_map(system)
+    interior = np.all(_cone_numerators(cone_map, points) > 0, axis=1)
     covered = np.zeros(len(points), dtype=bool)
     for w in offsets:
         diffs = points - np.array(w, dtype=np.int64)
-        covered |= np.all(_cone_numerators(system, diffs) >= 0, axis=1)
+        covered |= np.all(_cone_numerators(cone_map, diffs) >= 0, axis=1)
     if bool(np.any(interior & ~covered)):
         return False
     total = (0,) * e

@@ -10,11 +10,14 @@ from affsemi import (
     ConditionsUnmetError,
     SearchBudgetExceededError,
     build_chain,
+    decide_conditions,
     membership_bruteforce,
     membership_fast,
+    random_conditioned_system,
+    validate_conditions,
 )
 from affsemi.lattice import add, scale
-from tests.conftest import analyzed
+from tests.conftest import analyzed, random_system
 
 
 def unpruned_search(generators, target):
@@ -68,6 +71,58 @@ class TestValidateConditions:
         assert chain == build_chain(system)
         with pytest.raises(dataclasses.FrozenInstanceError):
             chain.indices = ()
+
+
+class TestDecideConditions:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3), st.booleans())
+    def test_agrees_with_the_search_up_to_the_first_failure(
+        self, seed, e, extras, conditioned
+    ):
+        rng = random.Random(seed)
+        if conditioned:
+            system, chain, _ = random_conditioned_system(rng, e, extras, max_entry=8)
+        else:
+            system = random_system(rng, e, extras, max_entry=8)
+            chain = build_chain(system)
+        decided = decide_conditions(system, chain)
+        searched = validate_conditions(system, chain, 10**6)
+        assert decided.strict_chain == searched.strict_chain
+        assert decided.strict_chain_violation == searched.strict_chain_violation
+        # The report runs up to the first level failing either condition.
+        failure = decided.first_scaled_failure()
+        last = min(
+            failure.level if failure else system.extra_count,
+            decided.strict_chain_violation or system.extra_count,
+        )
+        assert [c.level for c in decided.scaled] == list(range(1, last + 1))
+        for mine, theirs in zip(decided.scaled, searched.scaled):
+            assert not mine.undecided
+            if not theirs.undecided:
+                assert mine.holds == theirs.holds, (system.generators, mine.level)
+            if mine.holds:
+                k = mine.level
+                target = scale(system.generators[e + k - 1], chain.indices[k - 1])
+                total = (0,) * e
+                for c, g in zip(mine.witness, system.generators[: e + k - 1]):
+                    assert c >= 0
+                    total = add(total, scale(g, c))
+                assert total == target
+            else:
+                assert mine.witness is None
+        if not any(c.undecided for c in searched.scaled):
+            assert decided.all_hold == searched.all_hold
+
+    def test_fixtures(self, numerical_example):
+        system, chain, _ = numerical_example
+        assert decide_conditions(system, chain).all_hold
+        system, chain, _ = analyzed([(8,), (10,), (11,)])
+        report = decide_conditions(system, chain)
+        assert [c.holds for c in report.scaled] == [True, False]
+        system, chain, _ = analyzed([(4,), (6,), (7,), (9,)])
+        report = decide_conditions(system, chain)
+        assert report.strict_chain_violation == 3
+        assert [c.level for c in report.scaled] == [1, 2, 3]
 
 
 class TestMembershipFast:

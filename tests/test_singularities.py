@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-import affsemi.singularities
+import affsemi.semigroup
 from affsemi import (
     CurveExponents,
     IntMatrix,
     InvalidExponentsError,
     QOExponents,
-    SearchBudgetExceededError,
     StandardRepresentation,
     curve_semigroup,
     frobenius_number_dp,
@@ -97,7 +96,7 @@ class TestCurveSemigroup:
     def test_negative_leading_coefficient_is_rejected(self, monkeypatch):
         # The re-check reads the sign of the r_0 coefficient; flipping it
         # must reject otherwise valid data.
-        original = affsemi.singularities.standard_representation
+        original = affsemi.semigroup.standard_representation
 
         def negated(chain, vector, level=None):
             representation = original(chain, vector, level)
@@ -106,9 +105,7 @@ class TestCurveSemigroup:
                 (-1,) + representation.coefficients[1:],
             )
 
-        monkeypatch.setattr(
-            affsemi.singularities, "standard_representation", negated
-        )
+        monkeypatch.setattr(affsemi.semigroup, "standard_representation", negated)
         with pytest.raises(InvalidExponentsError, match="not representable"):
             curve_semigroup(CurveExponents(4, (6, 7)))
 
@@ -182,9 +179,19 @@ class TestQuasiOrdinary:
 
     def test_search_budget_bounds_the_condition_check(self):
         # Deciding 3*(10^18, 0) over (3,0), (0,3) by search would take about
-        # 10^18 nodes; the budget stops it after 1000.
-        with pytest.raises(SearchBudgetExceededError, match="level 1"):
-            qo_semigroup(QOExponents(2, 3, ((10**18, 0),)), search_budget=1000)
+        # 10^18 nodes; the sign criterion decides it in one lattice step.
+        data = qo_semigroup(QOExponents(2, 3, ((10**18, 0),)))
+        assert data.vector == (2 * 10**18 - 3, -3)
+        assert data.conditions.scaled[0].witness == (10**18, 0)
+
+    def test_decides_without_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the witness search ran")
+
+        monkeypatch.setattr(affsemi.semigroup, "membership_bruteforce", no_search)
+        data = qo_semigroup(QOExponents(2, 4, ((2, 2), (3, 3))))
+        assert data.conditions.all_hold
+        assert data.vector == (3, 3)
 
     def test_axis_cone_structure(self):
         data = qo_semigroup(QOExponents(2, 3, ((1, 2),)))
