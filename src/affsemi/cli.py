@@ -108,6 +108,8 @@ def _load_document(path: str, *required: str) -> dict:
     for key in required:
         if key not in document:
             raise ValueError(f"input document is missing {key!r}")
+        if key in ("generators", "m") and not isinstance(document[key], list):
+            raise ValueError(f"input document {key!r} must be a list")
     return document
 
 
@@ -275,10 +277,13 @@ def _condition_failure_diagnostics(
             f"{index}*{_vec_text(gen)} = {_vec_text(target)} {what}"
         )
     naive = frobenius_formula(system, chain)
-    notes.append(
-        f"the closed-form value {_vec_text(naive)} is not a valid Frobenius "
-        "vector here"
+    decided = not report.strict_chain or any(
+        not c.holds and not c.undecided for c in report.scaled
     )
+    verdict = "is not a valid Frobenius vector here" if decided else (
+        "could not be certified as the Frobenius vector within the search budget"
+    )
+    notes.append(f"the closed-form value {_vec_text(naive)} {verdict}")
     if all(x >= 0 for x in naive):
         try:
             witness = membership_bruteforce(

@@ -15,6 +15,7 @@ membership outright.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -51,6 +52,9 @@ DEFAULT_SEARCH_BUDGET = 10**7
 #: conductor enumeration visits, for which the conductor set is enumerated
 #: (dimension >= 2 only; dimension 1 is closed-form).
 CONDUCTOR_ENUMERATION_LIMIT = 2_000_000
+
+# Prepared (system, budget) pairs that diophantine_solve keeps.
+_PREPARED_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -358,6 +362,22 @@ def numerical_gaps(values: Sequence[int]) -> tuple[int, ...]:
     ))
 
 
+@functools.lru_cache(maxsize=_PREPARED_CACHE_SIZE)
+def _prepared(
+    system: GeneratorSystem, budget: int
+) -> tuple[LatticeChain, ConditionReport, Vector]:
+    """Chain, condition report and closed-form vector of ``system``.
+
+    Sound as a cache: the system, chain and report are frozen, and the
+    system hashes by its dimension and generators only.  ``budget`` is
+    part of the key because a level the search leaves undecided depends
+    on it.
+    """
+    chain = build_chain(system)
+    conditions = validate_conditions(system, chain, budget)
+    return chain, conditions, frobenius_formula(system, chain)
+
+
 def diophantine_solve(
     system: GeneratorSystem,
     target: Sequence[int],
@@ -378,13 +398,12 @@ def diophantine_solve(
     goal = as_vector(target)
     if any(x < 0 for x in goal):
         raise ValueError("target must have nonnegative coordinates")
-    chain = build_chain(system)
-    conditions = validate_conditions(system, chain, budget)
+    chain, conditions, g = _prepared(system, budget)
     if not chain.contains(goal, chain.level_count):
         return DiophantineAnswer(LATTICE_INFEASIBLE)
     if conditions.all_hold:
         result = membership_fast(system, chain, goal, conditions)
-        if beyond_frobenius(system, frobenius_formula(system, chain), goal):
+        if beyond_frobenius(system, g, goal):
             if not result.in_semigroup:
                 raise AssertionError("cone position must certify membership")
             return DiophantineAnswer(SOLVABLE_BY_CONE, result.representation.coefficients)

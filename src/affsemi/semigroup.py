@@ -188,16 +188,19 @@ def membership_bruteforce(
 
     order = sorted(range(len(gens)), key=lambda i: -min_positive(gens[i]))
     ordered = [gens[i] for i in order]
-    # coverage[p][j]: some generator from position p onward has g[j] > 0.
-    coverage = [[False] * dim for _ in range(len(gens) + 1)]
-    for p in range(len(gens) - 1, -1, -1):
-        coverage[p] = [
-            coverage[p + 1][j] or ordered[p][j] > 0 for j in range(dim)
-        ]
+    # support[p]: the positive coordinates of the generator at position p.
+    # uncovered[p]: the coordinates positive in no generator from position p
+    # on; a positive remainder there cuts the branch.  The remainder never
+    # goes negative, so "positive" is "nonzero".
+    support = [[j for j in range(dim) if g[j] > 0] for g in ordered]
+    uncovered = [list(range(dim))]
+    for g in reversed(ordered):
+        uncovered.append([j for j in uncovered[-1] if g[j] <= 0])
+    uncovered.reverse()
 
     # Depth-first with an explicit stack, so that the depth (one level per
     # generator) is not bounded by the interpreter's recursion limit.  Each
-    # open frame is [remainder at its position, coefficient tried, bound].
+    # open frame is [remainder left by its coefficient, coefficient, bound].
     last = len(ordered) - 1
     frames: list[list] = []
     remaining = goal
@@ -212,16 +215,14 @@ def membership_bruteforce(
         tail: Optional[list[int]] = None
         if not any(remaining):
             tail = [0] * (len(ordered) - pos)
-        elif pos < len(ordered) and not any(
-            remaining[j] > 0 and not coverage[pos][j] for j in range(dim)
-        ):
+        elif not any(remaining[j] for j in uncovered[pos]):
             gen = ordered[pos]
             if pos < last:
-                bound = min(remaining[j] // gen[j] for j in range(dim) if gen[j] > 0)
+                bound = min(remaining[j] // gen[j] for j in support[pos])
                 frames.append([remaining, 0, bound])
                 continue
             # Last generator: the coefficient is forced, check divisibility.
-            j = next(j for j in range(dim) if gen[j] > 0)
+            j = support[pos][0]
             count, rem = divmod(remaining[j], gen[j])
             if not rem and scale(gen, count) == remaining:
                 tail = [count]
@@ -235,7 +236,7 @@ def membership_bruteforce(
             return None
         frame = frames[-1]
         frame[1] += 1
-        remaining = sub(frame[0], scale(ordered[len(frames) - 1], frame[1]))
+        remaining = frame[0] = sub(frame[0], ordered[len(frames) - 1])
     coeffs = [0] * len(gens)
     for position, original in enumerate(order):
         coeffs[original] = solution[position]

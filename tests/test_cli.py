@@ -126,6 +126,9 @@ class TestAnalyze:
             (["member", "--point", "1"], {"generators": []}),
             (["dioph", "--target", "1"], {"generators": []}),
             (["verify"], {"generators": []}),
+            (["analyze"], {"generators": 5}),
+            (["curve"], {"n": 4, "m": 6}),
+            (["quasi"], {"n": 4, "m": 6}),
         ],
     )
     def test_malformed_document_exits_two(self, command, document, tmp_path):
@@ -193,6 +196,20 @@ class TestDiagnosticsBudget:
         code, out, _ = run_cli(["analyze", "8", "10", "11"])
         assert code == 3
         assert "note: indeed 33 = 3*11 lies in the semigroup" in out
+
+    def test_undecided_level_does_not_invalidate_the_closed_form(self):
+        # Every failure is a level the search left undecided, so (2,1),
+        # which is the Frobenius vector, is not called invalid.
+        code, out, _ = run_cli(["analyze", "1,3", "3,2", "1,1", "--budget", "3"])
+        assert code == 3
+        assert "not a valid Frobenius vector" not in out
+        assert (
+            "note: the closed-form value (2,1) could not be certified as the "
+            "Frobenius vector within the search budget\n"
+        ) in out
+        code, out, _ = run_cli(["analyze", "1,3", "3,2", "1,1"])
+        assert code == 0
+        assert "frobenius vector: (2,1)\n" in out
 
     def test_small_budget_subset_fallback_is_decided(self):
         # The search leaves level 1 undecided; the fallback keeps every

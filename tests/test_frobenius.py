@@ -512,6 +512,41 @@ def diophantine_solve_search_first(system, goal, budget):
     return DiophantineAnswer(NO_SOLUTION)
 
 
+class TestPreparedCache:
+    """diophantine_solve prepares each (system, budget) pair once."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        frobenius._prepared.cache_clear()
+        calls = {"build_chain": 0, "validate_conditions": 0}
+        for name in calls:
+            original = getattr(frobenius, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(frobenius, name, counting)
+        return calls
+
+    def test_one_preparation_per_system(self, counted):
+        system = make_system([(4,), (6,), (7,)])
+        answers = [diophantine_solve(system, (t,)) for t in range(50)]
+        assert counted == {"build_chain": 1, "validate_conditions": 1}
+        equal = make_system([(4,), (6,), (7,)])
+        assert equal is not system
+        assert [diophantine_solve(equal, (t,)) for t in range(50)] == answers
+        assert counted == {"build_chain": 1, "validate_conditions": 1}
+
+    def test_budget_is_part_of_the_key(self, counted):
+        system = make_system([(4,), (6,), (7,)])
+        assert diophantine_solve(system, (17,)).status == SOLVABLE_BY_CONE
+        # At budget 0 every level is undecided, so the conditions fail.
+        assert diophantine_solve(system, (17,), 0).status == CONDITIONS_UNMET
+        assert diophantine_solve(system, (17,)).status == SOLVABLE_BY_CONE
+        assert counted == {"build_chain": 2, "validate_conditions": 2}
+
+
 class TestDecideBeforeSearch:
     BUDGETS = (0, 1, 5, 50, 10**6)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,84 @@ from affsemi import (
     random_conditioned_system,
     validate_conditions,
 )
-from affsemi.lattice import add, scale
+from affsemi.exactlinalg import Vector, as_vector
+from affsemi.lattice import add, scale, sub
 from tests.conftest import analyzed, random_system
+
+
+def membership_bruteforce_before(
+    generators: Sequence[Sequence[int]],
+    target: Sequence[int],
+    budget: Optional[int] = None,
+) -> Optional[Vector]:
+    """``membership_bruteforce`` as it was before the remainder was updated
+    in place and the cut test read precomputed coordinate lists, kept
+    verbatim as the reference for the property below."""
+    gens = [as_vector(g) for g in generators]
+    goal = as_vector(target)
+    dim = len(goal)
+    if any(len(g) != dim for g in gens):
+        raise ValueError("generator/target dimensions differ")
+    if any(x < 0 for x in goal):
+        return None
+
+    def min_positive(g: Vector) -> int:
+        return min(x for x in g if x > 0)
+
+    order = sorted(range(len(gens)), key=lambda i: -min_positive(gens[i]))
+    ordered = [gens[i] for i in order]
+    # coverage[p][j]: some generator from position p onward has g[j] > 0.
+    coverage = [[False] * dim for _ in range(len(gens) + 1)]
+    for p in range(len(gens) - 1, -1, -1):
+        coverage[p] = [
+            coverage[p + 1][j] or ordered[p][j] > 0 for j in range(dim)
+        ]
+
+    # Depth-first with an explicit stack, so that the depth (one level per
+    # generator) is not bounded by the interpreter's recursion limit.  Each
+    # open frame is [remainder at its position, coefficient tried, bound].
+    last = len(ordered) - 1
+    frames: list[list] = []
+    remaining = goal
+    nodes = 0
+    while True:
+        pos = len(frames)
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise SearchBudgetExceededError(
+                f"membership search exceeded {budget} nodes"
+            )
+        tail: Optional[list[int]] = None
+        if not any(remaining):
+            tail = [0] * (len(ordered) - pos)
+        elif pos < len(ordered) and not any(
+            remaining[j] > 0 and not coverage[pos][j] for j in range(dim)
+        ):
+            gen = ordered[pos]
+            if pos < last:
+                bound = min(remaining[j] // gen[j] for j in range(dim) if gen[j] > 0)
+                frames.append([remaining, 0, bound])
+                continue
+            # Last generator: the coefficient is forced, check divisibility.
+            j = next(j for j in range(dim) if gen[j] > 0)
+            count, rem = divmod(remaining[j], gen[j])
+            if not rem and scale(gen, count) == remaining:
+                tail = [count]
+        if tail is not None:
+            solution = [frame[1] for frame in frames] + tail
+            break
+        # Backtrack to the deepest frame with a coefficient left to try.
+        while frames and frames[-1][1] == frames[-1][2]:
+            frames.pop()
+        if not frames:
+            return None
+        frame = frames[-1]
+        frame[1] += 1
+        remaining = sub(frame[0], scale(ordered[len(frames) - 1], frame[1]))
+    coeffs = [0] * len(gens)
+    for position, original in enumerate(order):
+        coeffs[original] = solution[position]
+    return tuple(coeffs)
 
 
 def unpruned_search(generators, target):
@@ -278,6 +355,51 @@ class TestMembershipBruteforce:
             for c, g in zip(witness, gens):
                 total = add(total, scale(g, c))
             assert total == target
+
+
+def _outcome(search, gens, target, budget):
+    try:
+        return search(gens, target, budget)
+    except SearchBudgetExceededError:
+        return "exceeded"
+
+
+@st.composite
+def _search_cases(draw):
+    e = draw(st.integers(1, 4))
+    # Coordinates are zero about half the time, so the cut test has
+    # uncovered coordinates to read.
+    coordinate = st.one_of(st.just(0), st.integers(1, 5))
+    gens = draw(
+        st.lists(st.tuples(*[coordinate] * e).filter(any), min_size=1, max_size=5)
+    )
+    target = draw(st.tuples(*[st.integers(0, 24 // e)] * e))
+    return gens, target
+
+
+class TestMembershipBruteforceKernel:
+    """The search against its earlier form: same depth-first order, same
+    node count, same first witness."""
+
+    BUDGETS = (0, 1, 5, 50, 10**5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_search_cases())
+    def test_agrees_with_the_earlier_search(self, case):
+        gens, target = case
+        for budget in self.BUDGETS:
+            assert _outcome(membership_bruteforce, gens, target, budget) == (
+                _outcome(membership_bruteforce_before, gens, target, budget)
+            ), (gens, target, budget)
+
+    @pytest.mark.parametrize(
+        "search", [membership_bruteforce, membership_bruteforce_before]
+    )
+    def test_exact_node_count(self, search):
+        gens = [(2, 0, 1), (0, 3, 0), (1, 1, 1), (0, 0, 2)]
+        with pytest.raises(SearchBudgetExceededError):
+            search(gens, (7, 9, 9), 63)
+        assert search(gens, (7, 9, 9), 64) == (2, 2, 3, 2)
 
 
 class TestAgreement:
