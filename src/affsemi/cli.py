@@ -31,9 +31,9 @@ from .exactlinalg import Vector
 from .frobenius import (
     CONDITIONS_UNMET,
     FrobeniusReport,
+    _prepared,
     beyond_frobenius,
     diophantine_solve,
-    frobenius_formula,
     frobenius_subset,
     frobenius_vector,
     gaps,
@@ -43,7 +43,6 @@ from .frobenius import (
 from .lattice import (
     GeneratorSystem,
     LatticeChain,
-    build_chain,
     standard_representation,
     sub,
 )
@@ -248,10 +247,15 @@ def _render(document: dict, fmt: str, human) -> None:
 
 
 def _condition_failure_diagnostics(
-    system: GeneratorSystem, chain: LatticeChain, report: ConditionReport, budget: int
+    system: GeneratorSystem,
+    chain: LatticeChain,
+    naive: Vector,
+    report: ConditionReport,
+    budget: int,
 ) -> list[str]:
-    """Notes on why the conditions fail.  The search for a witness that the
-    closed-form value is a member visits at most min(budget, 500 000) nodes."""
+    """Notes on why the conditions fail; ``naive`` is the closed-form value.
+    The search for a witness that it is a member visits at most
+    min(budget, 500 000) nodes."""
     notes = []
     if not report.strict_chain:
         k = report.strict_chain_violation
@@ -276,7 +280,6 @@ def _condition_failure_diagnostics(
             f"scaled-membership condition fails at level {k}: "
             f"{index}*{_vec_text(gen)} = {_vec_text(target)} {what}"
         )
-    naive = frobenius_formula(system, chain)
     decided = not report.strict_chain or any(
         not c.holds and not c.undecided for c in report.scaled
     )
@@ -395,14 +398,16 @@ def _human_analysis(document: dict) -> Iterator[str]:
 
 def cmd_analyze(args) -> int:
     system = _system_from_args(args)
-    chain = build_chain(system)
+    # The document prints the witnesses the search finds, so analyze
+    # decides the conditions by the search, under its budget.
+    chain, _, g = _prepared(system)
     report = validate_conditions(system, chain, args.budget)
     if report.all_hold:
         frob = frobenius_vector(system, chain, report)
         document = _analysis_document(system, chain, report, frob, [])
         _render(document, args.format, _human_analysis)
         return 0
-    diagnostics = _condition_failure_diagnostics(system, chain, report, args.budget)
+    diagnostics = _condition_failure_diagnostics(system, chain, g, report, args.budget)
     if not args.allow_subset:
         document = _analysis_document(
             system, chain, report, None, diagnostics, error="conditions_unmet"
@@ -450,8 +455,7 @@ def cmd_analyze(args) -> int:
 def cmd_member(args) -> int:
     system = _system_from_args(args)
     point = _parse_vector(args.point)
-    chain = build_chain(system)
-    report = validate_conditions(system, chain, args.budget)
+    chain, report, g = _prepared(system)
     diagnostics: list[str] = []
     if report.all_hold:
         result = membership_fast(system, chain, point, report)
@@ -464,7 +468,6 @@ def cmd_member(args) -> int:
             if result.in_semigroup
             else None
         )
-        g = frobenius_formula(system, chain)
         shift = sub(point, g)
         if (
             any(shift)
@@ -650,18 +653,22 @@ def verify_conductor(*args, **kwargs):
 
 
 def cmd_verify(args) -> int:
+    """Sweep finite boxes beyond g.  The conditions are decided without
+    search; only their failure document searches, under ``--budget``, for
+    the witnesses it prints.  The theorem box is checked before the
+    conductor is enumerated, so an oversize box is refused at once."""
     system = _system_from_args(args)
-    chain = build_chain(system)
-    report = validate_conditions(system, chain, args.budget)
+    chain, report, g = _prepared(system)
     if not report.all_hold:
-        diagnostics = _condition_failure_diagnostics(system, chain, report, args.budget)
+        report = validate_conditions(system, chain, args.budget)
+        diagnostics = _condition_failure_diagnostics(system, chain, g, report, args.budget)
         document = _analysis_document(
             system, chain, report, None, diagnostics, error="conditions_unmet"
         )
         _render(document, args.format, _human_analysis)
         return 3
+    check = verify_theorem1(system, chain, g, args.margin)
     frob = frobenius_vector(system, chain, report)
-    check = verify_theorem1(system, chain, frob.vector, args.margin)
     covered = None
     if frob.conductor is not None:
         covered = verify_conductor(system, chain, frob.conductor, args.margin)

@@ -36,7 +36,6 @@ from .semigroup import (
     decide_conditions,
     membership_bruteforce,
     membership_fast,
-    validate_conditions,
 )
 
 SOLVABLE_BY_CONE = "solvable_by_cone"
@@ -53,7 +52,7 @@ DEFAULT_SEARCH_BUDGET = 10**7
 #: (dimension >= 2 only; dimension 1 is closed-form).
 CONDUCTOR_ENUMERATION_LIMIT = 2_000_000
 
-# Prepared (system, budget) pairs that diophantine_solve keeps.
+# Prepared systems that _prepared keeps.
 _PREPARED_CACHE_SIZE = 64
 
 
@@ -92,6 +91,21 @@ def frobenius_formula(system: GeneratorSystem, chain: LatticeChain) -> Vector:
     for v in system.leading():
         total = sub(total, v)
     return total
+
+
+@functools.lru_cache(maxsize=_PREPARED_CACHE_SIZE)
+def _prepared(system: GeneratorSystem) -> tuple[LatticeChain, ConditionReport, Vector]:
+    """Chain, ``decide_conditions`` report and closed-form vector of
+    ``system``: the one prepared analysis.
+
+    ``diophantine_solve``, ``frobenius_subset``, the exponent front ends and
+    the ``member``, ``verify`` and ``analyze`` commands read it, so the
+    condition verdict never depends on a search budget.  The conductor is
+    not enumerated here.  Sound as a cache: the system, chain and report are
+    frozen, and the system hashes by its dimension and generators only.
+    """
+    chain = build_chain(system)
+    return chain, decide_conditions(system, chain), frobenius_formula(system, chain)
 
 
 def frobenius_vector(
@@ -141,7 +155,7 @@ def frobenius_subset(system: GeneratorSystem, chain: LatticeChain) -> FrobeniusR
     The dropped generators are those of index 1 in ``chain``, the chain of
     the full system: each lies in the group of the kept ones before it, so
     every kept prefix spans the same group as the full prefix.  The subset's
-    conditions are decided without search.
+    conditions are decided without search, by its prepared analysis.
     """
     e = system.ambient_dim
     kept = tuple(k for k, index in enumerate(chain.indices, start=1) if index > 1)
@@ -149,8 +163,7 @@ def frobenius_subset(system: GeneratorSystem, chain: LatticeChain) -> FrobeniusR
     subsystem = GeneratorSystem(
         e, system.leading() + tuple(extras[k - 1] for k in kept)
     )
-    subchain = build_chain(subsystem)
-    report = decide_conditions(subsystem, subchain)
+    subchain, report, _ = _prepared(subsystem)
     if not report.all_hold:
         raise ConditionsUnmetError(
             "the filtered subset still fails the scaled-membership condition",
@@ -362,22 +375,6 @@ def numerical_gaps(values: Sequence[int]) -> tuple[int, ...]:
     ))
 
 
-@functools.lru_cache(maxsize=_PREPARED_CACHE_SIZE)
-def _prepared(
-    system: GeneratorSystem, budget: int
-) -> tuple[LatticeChain, ConditionReport, Vector]:
-    """Chain, condition report and closed-form vector of ``system``.
-
-    Sound as a cache: the system, chain and report are frozen, and the
-    system hashes by its dimension and generators only.  ``budget`` is
-    part of the key because a level the search leaves undecided depends
-    on it.
-    """
-    chain = build_chain(system)
-    conditions = validate_conditions(system, chain, budget)
-    return chain, conditions, frobenius_formula(system, chain)
-
-
 def diophantine_solve(
     system: GeneratorSystem,
     target: Sequence[int],
@@ -394,11 +391,15 @@ def diophantine_solve(
     the bounded search for its witness, falling back to the representation
     when the budget runs out.  Without the conditions the bounded search
     decides alone, and an exceeded budget is reported as undecided.
+
+    The conditions come from the prepared analysis of the system, decided
+    without search, so ``budget`` bounds only the witness searches: a
+    member's below g, and every target's when the conditions fail.
     """
     goal = as_vector(target)
     if any(x < 0 for x in goal):
         raise ValueError("target must have nonnegative coordinates")
-    chain, conditions, g = _prepared(system, budget)
+    chain, conditions, g = _prepared(system)
     if not chain.contains(goal, chain.level_count):
         return DiophantineAnswer(LATTICE_INFEASIBLE)
     if conditions.all_hold:

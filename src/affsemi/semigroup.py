@@ -13,7 +13,11 @@ coefficients are all nonnegative); ``membership_bruteforce`` decides it by a
 bounded search for an explicit nonnegative combination and serves as the
 independent cross-check.  ``decide_conditions`` decides the conditions
 themselves by the same sign criterion, and ``validate_conditions`` by the
-search.
+search.  Every caller decides them without search through the prepared
+analysis (``frobenius._prepared``), except three that print or need the
+search's witnesses: the ``analyze`` command, the failure document of
+``verify``, and the oracle's ``random_conditioned_system``, which stays
+independent of the closed-form code.
 """
 
 from __future__ import annotations

@@ -24,9 +24,9 @@ from typing import Sequence
 
 from .errors import InvalidExponentsError
 from .exactlinalg import Vector, as_int, as_vector
-from .frobenius import FrobeniusReport, frobenius_vector
+from .frobenius import FrobeniusReport, _prepared, frobenius_vector
 from .lattice import GeneratorSystem, LatticeChain, build_chain
-from .semigroup import ConditionReport, decide_conditions
+from .semigroup import ConditionReport
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def curve_semigroup(exponents: CurveExponents) -> CurveSemigroupData:
     if conductor % 2:
         raise AssertionError("the conductor of a branch semigroup is even")
     system = GeneratorSystem(1, tuple((x,) for x in r))
-    conditions = decide_conditions(system, build_chain(system))
+    _, conditions, _ = _prepared(system)
     if not conditions.all_hold:
         k = conditions.scaled[-1].level
         raise InvalidExponentsError(
@@ -259,13 +259,12 @@ def qo_semigroup(exponents: QOExponents) -> QOSemigroupData:
             step * a + b - c for a, b, c in zip(derived[-1], m[k - 1], m[k - 2])
         ))
     system = _qo_system(exponents.ambient_dim, exponents.multiplicity, derived)
-    chain = build_chain(system)
+    chain, conditions, _ = _prepared(system)
     if chain.minor_gcds != minor_gcds:
         raise InvalidExponentsError(
             "derived generators change the minor-gcd chain; exponent data is "
             "inconsistent"
         )
-    conditions = decide_conditions(system, chain)
     if not conditions.all_hold:
         raise InvalidExponentsError(
             "derived generators fail the chain conditions; exponent data is "

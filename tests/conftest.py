@@ -9,8 +9,19 @@ from affsemi import (
     build_chain,
     validate_conditions,
 )
+from affsemi import frobenius
 from affsemi.frobenius import in_closed_cone
 from affsemi.lattice import add
+
+
+@pytest.fixture(autouse=True)
+def fresh_prepared_cache():
+    """Empty the prepared-analysis cache around every test, so a test that
+    patches a function the analysis calls neither reads a result prepared
+    without the patch nor leaves one prepared with it."""
+    frobenius._prepared.cache_clear()
+    yield
+    frobenius._prepared.cache_clear()
 
 
 def make_system(vectors):

@@ -359,26 +359,28 @@ class TestCurveAndQuasi:
         assert document["indices"] == ["2", "2"]
 
 
+def forbid(monkeypatch, name, message):
+    """Make ``name`` raise in every affsemi module that holds it, including
+    the modules that imported it by name."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    original = getattr(affsemi, name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "affsemi" and (
+            getattr(module, name, None) is original
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+
+
 class TestOracleIndependence:
     def test_curve_and_subset_documents_do_not_use_the_oracle_sieve(
         self, monkeypatch
     ):
-        from affsemi import oracle
-
         curve_argv = ["curve", "4", "6", "7", "--format", "machine"]
         _, curve_out, _ = run_cli(curve_argv)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the oracle sieve must not run here")
-
-        # Rebind every reference, including names imported into other modules.
         for name in ("numerical_gaps_dp", "frobenius_number_dp"):
-            original = getattr(oracle, name)
-            for module_name, module in list(sys.modules.items()):
-                if module_name.split(".")[0] == "affsemi" and (
-                    getattr(module, name, None) is original
-                ):
-                    monkeypatch.setattr(module, name, forbidden)
+            forbid(monkeypatch, name, "the oracle sieve must not run here")
 
         assert run_cli(curve_argv) == (0, curve_out, "")
         argv, expected_code = GOLDEN["degenerate_subset"]
@@ -437,6 +439,46 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: verification box of 10000000000000000001 cells")
         assert len(err.splitlines()) == 1
+
+
+class TestConditionsDecidedWithoutSearch:
+    """member, dioph and verify decide the chain conditions by the sign
+    criterion; the witness search used to take seconds on this system."""
+
+    SYSTEM = ["40,1,0", "0,40,1", "1,0,40", "1,1,2"]
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        forbid(monkeypatch, "membership_bruteforce", "a witness search ran")
+
+    def test_member(self, no_search):
+        code, out, err = run_cli(
+            ["member", *self.SYSTEM, "--point", "5,5,5", "--format", "machine"]
+        )
+        assert (code, err) == (0, "")
+        document = json.loads(out)
+        assert document["method"] == "fast"
+        assert document["in_semigroup"] is False
+
+    def test_dioph(self, no_search):
+        code, out, err = run_cli(["dioph", *self.SYSTEM, "--target", "5,5,5"])
+        assert (code, out, err) == (0, "target (5,5,5): no_solution\n", "")
+
+    def test_verify(self, no_search):
+        code, out, err = run_cli(
+            ["verify", "8,0", "0,8", "2,2", "12,8", "--format", "machine"]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["membership_guarantee_holds"] is True
+
+    def test_oversize_verify_box_is_refused_before_the_conductor(self, monkeypatch):
+        forbid(monkeypatch, "minimal_cone_points", "the conductor was enumerated")
+        code, out, err = run_cli(
+            ["verify", "10,0,0,1", "1,10,0,0", "0,1,10,0", "0,0,1,10", "2,1,1,1",
+             "--margin", "0"]
+        )
+        assert (code, out) == (2, "")
+        assert "exceeds the safety cap" in err
 
 
 class TestBigIntegers:

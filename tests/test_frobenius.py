@@ -13,6 +13,7 @@ from affsemi import (
     beyond_frobenius,
     build_chain,
     conductor_set,
+    decide_conditions,
     diophantine_solve,
     frobenius_number_dp,
     frobenius_subset,
@@ -481,9 +482,10 @@ class TestDiophantine:
 
 def diophantine_solve_search_first(system, goal, budget):
     """Reference: the bounded search runs before the sign criterion, which
-    only settles the targets whose search ran out of budget."""
+    only settles the targets whose search ran out of budget.  The
+    conditions are decided without search, so no budget changes them."""
     chain = build_chain(system)
-    conditions = validate_conditions(system, chain, budget)
+    conditions = decide_conditions(system, chain)
     if not chain.contains(goal, chain.level_count):
         return DiophantineAnswer(LATTICE_INFEASIBLE)
     if conditions.all_hold:
@@ -513,12 +515,11 @@ def diophantine_solve_search_first(system, goal, budget):
 
 
 class TestPreparedCache:
-    """diophantine_solve prepares each (system, budget) pair once."""
+    """diophantine_solve prepares each system once, whatever the budget."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        frobenius._prepared.cache_clear()
-        calls = {"build_chain": 0, "validate_conditions": 0}
+        calls = {"build_chain": 0, "decide_conditions": 0}
         for name in calls:
             original = getattr(frobenius, name)
 
@@ -532,19 +533,20 @@ class TestPreparedCache:
     def test_one_preparation_per_system(self, counted):
         system = make_system([(4,), (6,), (7,)])
         answers = [diophantine_solve(system, (t,)) for t in range(50)]
-        assert counted == {"build_chain": 1, "validate_conditions": 1}
+        assert counted == {"build_chain": 1, "decide_conditions": 1}
         equal = make_system([(4,), (6,), (7,)])
         assert equal is not system
         assert [diophantine_solve(equal, (t,)) for t in range(50)] == answers
-        assert counted == {"build_chain": 1, "validate_conditions": 1}
+        assert counted == {"build_chain": 1, "decide_conditions": 1}
 
-    def test_budget_is_part_of_the_key(self, counted):
+    def test_budget_is_not_part_of_the_key(self, counted):
         system = make_system([(4,), (6,), (7,)])
         assert diophantine_solve(system, (17,)).status == SOLVABLE_BY_CONE
-        # At budget 0 every level is undecided, so the conditions fail.
-        assert diophantine_solve(system, (17,), 0).status == CONDITIONS_UNMET
+        # The conditions are decided without search, so budget 0 leaves
+        # them holding and shares the default budget's preparation.
+        assert diophantine_solve(system, (17,), 0).status == SOLVABLE_BY_CONE
         assert diophantine_solve(system, (17,)).status == SOLVABLE_BY_CONE
-        assert counted == {"build_chain": 2, "validate_conditions": 2}
+        assert counted == {"build_chain": 1, "decide_conditions": 1}
 
 
 class TestDecideBeforeSearch:
