@@ -66,6 +66,10 @@ UNCONDITIONED = {
     "3,0 0,3 1,1 2,2": ["1,2", "2,2", "4,4"],
 }
 
+#: Systems with levels above the first failing one, analysed and verified
+#: at the default budget.
+BEYOND_FAILURE = ["8 10 11 13", "4 6 7 9 11", "5,0 0,5 1,2 3,1 2,2"]
+
 CURVES = ["4 6 7", "6 9 13", "8 12 14 15", "2 3", "1000000000 1000000001", "4 6 8"]
 
 QUASI = [
@@ -115,6 +119,9 @@ def argvs():
         gens = text.split()
         margin = ["--margin", "1"] if len(gens[0].split(",")) >= 3 else []
         yield from _variants(["verify"] + gens + margin)
+    for text in BEYOND_FAILURE:
+        for command in ("analyze", "verify"):
+            yield from _variants([command] + text.split(), (None,))
     for text in CURVES:
         yield from _variants(["curve"] + text.split(), (None, "0"))
     for text in QUASI:
