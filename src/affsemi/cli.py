@@ -34,6 +34,7 @@ from .frobenius import (
     _prepared,
     beyond_frobenius,
     diophantine_solve,
+    frobenius_formula,
     frobenius_subset,
     frobenius_vector,
     gaps,
@@ -43,6 +44,7 @@ from .frobenius import (
 from .lattice import (
     GeneratorSystem,
     LatticeChain,
+    build_chain,
     standard_representation,
     sub,
 )
@@ -160,7 +162,7 @@ def _conditions_block(report: ConditionReport) -> dict:
                 "level": str(check.level),
                 "holds": check.holds,
                 "witness": None if check.witness is None else _sv(check.witness),
-                "undecided": check.undecided,
+                "undecided": False,
             }
             for check in report.scaled
         ],
@@ -249,13 +251,13 @@ def _render(document: dict, fmt: str, human) -> None:
 def _condition_failure_diagnostics(
     system: GeneratorSystem,
     chain: LatticeChain,
-    naive: Vector,
     report: ConditionReport,
     budget: int,
 ) -> list[str]:
-    """Notes on why the conditions fail; ``naive`` is the closed-form value.
-    The search for a witness that it is a member visits at most
-    min(budget, 500 000) nodes."""
+    """Notes on why the conditions fail.  The search for a witness that the
+    closed-form value is a member visits at most min(budget, 500 000)
+    nodes."""
+    naive = frobenius_formula(system, chain)
     notes = []
     if not report.strict_chain:
         k = report.strict_chain_violation
@@ -273,20 +275,15 @@ def _condition_failure_diagnostics(
         predecessors = ", ".join(
             _vec_text(v) for v in system.generators[: system.ambient_dim + k - 1]
         )
-        what = "could not be decided within the search budget" if failure.undecided else (
-            f"is not a nonnegative combination of {predecessors}"
-        )
         notes.append(
             f"scaled-membership condition fails at level {k}: "
-            f"{index}*{_vec_text(gen)} = {_vec_text(target)} {what}"
+            f"{index}*{_vec_text(gen)} = {_vec_text(target)} is not a "
+            f"nonnegative combination of {predecessors}"
         )
-    decided = not report.strict_chain or any(
-        not c.holds and not c.undecided for c in report.scaled
+    notes.append(
+        f"the closed-form value {_vec_text(naive)} is not a valid Frobenius "
+        "vector here"
     )
-    verdict = "is not a valid Frobenius vector here" if decided else (
-        "could not be certified as the Frobenius vector within the search budget"
-    )
-    notes.append(f"the closed-form value {_vec_text(naive)} {verdict}")
     if all(x >= 0 for x in naive):
         try:
             witness = membership_bruteforce(
@@ -362,6 +359,9 @@ def _analysis_document(
             frobenius_number = gap_list[-1] if gap_list else -1
             document["true_frobenius_number"] = str(frobenius_number)
             document["conductor"] = [_sv((frobenius_number + 1,))]
+            diagnostics.append(
+                f"the gap list gives the exact frobenius number {frobenius_number}"
+            )
     return document
 
 
@@ -397,55 +397,42 @@ def _human_analysis(document: dict) -> Iterator[str]:
 
 
 def cmd_analyze(args) -> int:
-    system = _system_from_args(args)
-    # The document prints the witnesses the search finds, so analyze
-    # decides the conditions by the search, under its budget.
-    chain, _, g = _prepared(system)
+    return _analysis(_system_from_args(args), args, args.allow_subset)
+
+
+def _analysis(system: GeneratorSystem, args, allow_subset: bool) -> int:
+    """Print the analysis document and return the exit code.  Without the
+    subset fallback, the document of a system whose conditions fail is also
+    the ``conditions_unmet`` document of ``verify``."""
+    # validate_conditions decides by the sign criterion; the document also
+    # prints the witnesses its search finds.
+    chain = build_chain(system)
     report = validate_conditions(system, chain, args.budget)
+    frob, diagnostics = None, []
     if report.all_hold:
         frob = frobenius_vector(system, chain, report)
-        document = _analysis_document(system, chain, report, frob, [])
-        _render(document, args.format, _human_analysis)
-        return 0
-    diagnostics = _condition_failure_diagnostics(system, chain, g, report, args.budget)
-    if not args.allow_subset:
-        document = _analysis_document(
-            system, chain, report, None, diagnostics, error="conditions_unmet"
-        )
-        _render(document, args.format, _human_analysis)
-        return 3
-    try:
-        frob = frobenius_subset(system, chain)
-    except ConditionsUnmetError:
-        diagnostics.append(
-            "subset fallback failed: the filtered generators still miss the "
-            "scaled-membership condition"
-        )
-        document = _analysis_document(
-            system, chain, report, None, diagnostics, error="conditions_unmet"
-        )
-        _render(document, args.format, _human_analysis)
-        return 3
-    if frob.threshold_only:
-        kept = ", ".join(str(k) for k in frob.used_subset)
-        diagnostics.append(
-            f"closed form applied to the subset keeping extra generators "
-            f"[{kept}]; the vector is an upper threshold only and need not "
-            "be minimal"
-        )
     else:
-        diagnostics.append(
-            "the subset fallback dropped nothing and decided both conditions "
-            "without search: the closed-form value is the Frobenius vector"
-        )
-    document = _analysis_document(system, chain, report, frob, diagnostics)
-    if document.get("true_frobenius_number") is not None:
-        document["diagnostics"] = diagnostics + [
-            f"the gap list gives the exact frobenius number "
-            f"{document['true_frobenius_number']}"
-        ]
+        diagnostics = _condition_failure_diagnostics(system, chain, report, args.budget)
+    if frob is None and allow_subset:
+        try:
+            frob = frobenius_subset(system, chain)
+        except ConditionsUnmetError:
+            diagnostics.append(
+                "subset fallback failed: the filtered generators still miss the "
+                "scaled-membership condition"
+            )
+        else:
+            # The full system fails, so the subset dropped something.
+            kept = ", ".join(str(k) for k in frob.used_subset)
+            diagnostics.append(
+                f"closed form applied to the subset keeping extra generators "
+                f"[{kept}]; the vector is an upper threshold only and need not "
+                "be minimal"
+            )
+    error = None if frob else "conditions_unmet"
+    document = _analysis_document(system, chain, report, frob, diagnostics, error)
     _render(document, args.format, _human_analysis)
-    return 0
+    return 3 if error else 0
 
 
 # ---------------------------------------------------------------------------
@@ -660,13 +647,7 @@ def cmd_verify(args) -> int:
     system = _system_from_args(args)
     chain, report, g = _prepared(system)
     if not report.all_hold:
-        report = validate_conditions(system, chain, args.budget)
-        diagnostics = _condition_failure_diagnostics(system, chain, g, report, args.budget)
-        document = _analysis_document(
-            system, chain, report, None, diagnostics, error="conditions_unmet"
-        )
-        _render(document, args.format, _human_analysis)
-        return 3
+        return _analysis(system, args, allow_subset=False)
     check = verify_theorem1(system, chain, g, args.margin)
     frob = frobenius_vector(system, chain, report)
     covered = None

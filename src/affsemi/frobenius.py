@@ -99,10 +99,10 @@ def _prepared(system: GeneratorSystem) -> tuple[LatticeChain, ConditionReport, V
     ``system``: the one prepared analysis.
 
     ``diophantine_solve``, ``frobenius_subset``, the exponent front ends and
-    the ``member``, ``verify`` and ``analyze`` commands read it, so the
-    condition verdict never depends on a search budget.  The conductor is
-    not enumerated here.  Sound as a cache: the system, chain and report are
-    frozen, and the system hashes by its dimension and generators only.
+    the ``member`` and ``verify`` commands read it, so the condition verdict
+    never depends on a search budget.  The conductor is not enumerated
+    here.  Sound as a cache: the system, chain and report are frozen, and
+    the system hashes by its dimension and generators only.
     """
     chain = build_chain(system)
     return chain, decide_conditions(system, chain), frobenius_formula(system, chain)
@@ -115,13 +115,13 @@ def frobenius_vector(
 ) -> FrobeniusReport:
     """Frobenius vector of the semigroup, requiring both chain conditions.
 
-    ``conditions`` is the report of ``validate_conditions`` or
-    ``decide_conditions`` on the same system.  The two defining facts (the
-    vector is in the group but not in the semigroup, the latter through the
-    standard representation) are re-checked, and a failure raises
-    ``AssertionError``.  When the generators span all of Z^e and |det| is
-    within ``CONDUCTOR_ENUMERATION_LIMIT``, the result also carries the
-    conductor set.
+    ``conditions`` is the report of ``decide_conditions`` or of
+    ``validate_conditions`` (same verdicts) on the same system.  The two
+    defining facts (the vector is in the group but not in the semigroup,
+    the latter through the standard representation) are re-checked, and a
+    failure raises ``AssertionError``.  When the generators span all of Z^e
+    and |det| is within ``CONDUCTOR_ENUMERATION_LIMIT``, the result also
+    carries the conductor set.
     """
     if not conditions.all_hold:
         raise ConditionsUnmetError(

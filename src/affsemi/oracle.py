@@ -44,7 +44,7 @@ from .lattice import (
     scale,
     sub,
 )
-from .semigroup import ConditionReport, validate_conditions
+from .semigroup import ConditionReport, ScaledMembershipCheck, membership_bruteforce
 
 #: Hard cap on dense-grid size, as a plain safety net against runaway boxes.
 MAX_GRID_CELLS = 80_000_000
@@ -389,6 +389,28 @@ def verify_conductor(
     return all(gamma[c] for c in conductor_points)
 
 
+def searched_conditions(
+    system: GeneratorSystem,
+    chain: LatticeChain,
+    search_budget: Optional[int] = None,
+) -> ConditionReport:
+    """Both chain conditions decided by the bounded search alone, up to the
+    first level failing either one: the reference for
+    ``semigroup.decide_conditions``.  Raises ``SearchBudgetExceededError``
+    when a level's search visits more than ``search_budget`` nodes."""
+    violation = next((k for k, i in enumerate(chain.indices, 1) if i == 1), None)
+    e = system.ambient_dim
+    checks = []
+    for k in range(1, (violation or system.extra_count) + 1):
+        target = scale(system.generators[e + k - 1], chain.indices[k - 1])
+        predecessors = system.generators[: e + k - 1]
+        witness = membership_bruteforce(predecessors, target, search_budget)
+        checks.append(ScaledMembershipCheck(k, witness is not None, witness))
+        if witness is None:
+            break
+    return ConditionReport(violation is None, violation, tuple(checks))
+
+
 def random_conditioned_system(
     rng: random.Random,
     ambient_dim: int,
@@ -454,7 +476,7 @@ def random_conditioned_system(
         if math.prod(max(u, 0) + 1 for u in sweep_upper) > max_box_volume:
             continue
         try:
-            report = validate_conditions(system, chain, condition_budget)
+            report = searched_conditions(system, chain, condition_budget)
         except SearchBudgetExceededError:
             continue
         if not report.all_hold:

@@ -12,17 +12,17 @@ representation (a member is exactly a group element whose leading
 coefficients are all nonnegative); ``membership_bruteforce`` decides it by a
 bounded search for an explicit nonnegative combination and serves as the
 independent cross-check.  ``decide_conditions`` decides the conditions
-themselves by the same sign criterion, and ``validate_conditions`` by the
-search.  Every caller decides them without search through the prepared
-analysis (``frobenius._prepared``), except three that print or need the
-search's witnesses: the ``analyze`` command, the failure document of
-``verify``, and the oracle's ``random_conditioned_system``, which stays
-independent of the closed-form code.
+themselves by the same sign criterion, without search, and is their only
+decider.  ``validate_conditions`` reports the same verdicts with the
+witnesses the search finds for the levels that hold, which the ``analyze``
+and ``verify`` documents print; the search never decides a verdict.  The
+search-only check is ``oracle.searched_conditions``, the reference the
+tests compare against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import ConditionsUnmetError, SearchBudgetExceededError
@@ -43,15 +43,12 @@ class ScaledMembershipCheck:
     """Outcome of the scaled-membership condition at one level.
 
     ``witness`` gives nonnegative coefficients over the generators before
-    this level summing to index * generator, when one exists.  ``undecided``
-    marks a check abandoned because the search budget ran out; ``holds`` is
-    False in that case.
+    this level summing to index * generator, when the condition holds.
     """
 
     level: int
     holds: bool
     witness: Optional[Vector]
-    undecided: bool = False
 
 
 @dataclass(frozen=True)
@@ -83,35 +80,33 @@ def validate_conditions(
     chain: LatticeChain,
     search_budget: Optional[int] = None,
 ) -> ConditionReport:
-    """Check both chain conditions, reporting rather than raising on failure.
+    """``decide_conditions`` with the witnesses the search finds.
 
-    Scaled-membership witnesses are found by ``membership_bruteforce``.  Any
-    valid witness is acceptable; the search is deterministic, so reruns
-    reproduce the same one.
+    The verdicts and the levels reported are those of ``decide_conditions``.
+    For each level that holds, ``membership_bruteforce`` looks for a witness
+    under ``search_budget``; the search is deterministic, so reruns
+    reproduce the same one.  When the budget runs out, the standard
+    representation stays as the witness, so the budget never changes a
+    verdict.
     """
-    violation = None
-    for k in range(1, len(chain.minor_gcds)):
-        if chain.minor_gcds[k] == chain.minor_gcds[k - 1]:
-            violation = k
-            break
+    report = decide_conditions(system, chain)
     e = system.ambient_dim
-    checks = []
-    for k in range(1, system.extra_count + 1):
+
+    def searched(check: ScaledMembershipCheck) -> ScaledMembershipCheck:
+        if not check.holds:
+            return check
+        k = check.level
         target = scale(system.generators[e + k - 1], chain.indices[k - 1])
         predecessors = system.generators[: e + k - 1]
         try:
             witness = membership_bruteforce(predecessors, target, search_budget)
         except SearchBudgetExceededError:
-            checks.append(ScaledMembershipCheck(k, False, None, undecided=True))
-            continue
-        if witness is not None and _evaluate(predecessors, witness) != target:
-            raise AssertionError("bruteforce returned an invalid witness")
-        checks.append(ScaledMembershipCheck(k, witness is not None, witness))
-    return ConditionReport(
-        strict_chain=violation is None,
-        strict_chain_violation=violation,
-        scaled=tuple(checks),
-    )
+            return check
+        if witness is None or _evaluate(predecessors, witness) != target:
+            raise AssertionError("the search must find a valid witness for a member")
+        return ScaledMembershipCheck(k, True, witness)
+
+    return replace(report, scaled=tuple(map(searched, report.scaled)))
 
 
 def decide_conditions(system: GeneratorSystem, chain: LatticeChain) -> ConditionReport:
@@ -145,10 +140,10 @@ def membership_fast(
 ) -> MembershipResult:
     """Membership via the sign pattern of the standard representation.
 
-    ``conditions`` is the report of ``validate_conditions`` or
-    ``decide_conditions`` on the same system.  Requires both chain
-    conditions; refuses (rather than silently degrading) when they fail,
-    because the sign criterion is only valid under them.
+    ``conditions`` is the report of ``decide_conditions`` or of
+    ``validate_conditions`` (same verdicts) on the same system.  Requires
+    both chain conditions; refuses (rather than silently degrading) when
+    they fail, because the sign criterion is only valid under them.
     """
     if not conditions.all_hold:
         raise ConditionsUnmetError(

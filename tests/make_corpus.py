@@ -12,7 +12,9 @@ Run from the repository root:
 The script rewrites the whole file and prints the argv of every entry whose
 recorded behaviour changed; each such entry is a behaviour change to
 explain.  The argv list below is literal, so no change to a random
-generator can move it.  Every entry runs in milliseconds.
+generator can move it.  Every entry runs in milliseconds, except the
+``analyze`` entries of the ``SLOW`` systems, which enumerate their
+conductors.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ CONDITIONED = {
     ],
 }
 
-#: Conditioned systems whose search at the default budget (or whose
-#: conductor) takes seconds: only the small budgets are recorded.
+#: Conditioned systems whose witness search at the default budget takes
+#: seconds: only the small budgets are recorded.  Their conductors take
+#: 8 to 20 s each, so their ``analyze`` entries are slow at any budget.
 SLOW = {
     "40,1,0 0,40,1 1,0,40 1,1,2": ["5,5,5", "64000,64000,128000"],
     "10,0,0,1 1,10,0,0 0,1,10,0 0,0,1,10 2,1,1,1": ["5,5,5,5", "20000,10000,10000,10000"],

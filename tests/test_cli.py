@@ -150,19 +150,18 @@ class TestAnalyze:
 
 
 _HUGE = "1000000000000000000"
-_UNDECIDED_NOTES = (
+_STRICT_FAILURE_NOTES = (
     "conditions: NOT satisfied\n"
     "note: strict-descent condition fails at level 1: generator 3 does not "
     "enlarge the group of its predecessors\n"
-    "note: scaled-membership condition fails at level 1: 1*3 = 3 could not be "
-    "decided within the search budget\n"
     "note: the closed-form value 1999999999999999997 is not a valid Frobenius "
     "vector here\n"
 )
 
 
 class TestDiagnosticsBudget:
-    """The witness search behind the "indeed ... lies in the semigroup" note
+    """--budget bounds the witness searches only, and never changes a
+    verdict.  The search behind the "indeed ... lies in the semigroup" note
     visits at most --budget nodes (and at most 500 000)."""
 
     @pytest.mark.parametrize(
@@ -171,12 +170,12 @@ class TestDiagnosticsBudget:
             (
                 ["analyze", "3", "3", _HUGE, _HUGE, "--budget", "0"],
                 f"generators: 3 3 {_HUGE} {_HUGE}\nminor gcds: 3 3 1 1\n"
-                "indices:    1 3 1\n" + _UNDECIDED_NOTES,
+                "indices:    1 3 1\n" + _STRICT_FAILURE_NOTES,
             ),
             (
                 ["verify", "3", "3", "3", _HUGE, "--margin", "0", "--budget", "0"],
                 f"generators: 3 3 3 {_HUGE}\nminor gcds: 3 3 3 1\n"
-                "indices:    1 1 3\n" + _UNDECIDED_NOTES,
+                "indices:    1 1 3\n" + _STRICT_FAILURE_NOTES,
             ),
         ],
         ids=["analyze", "verify"],
@@ -191,36 +190,64 @@ class TestDiagnosticsBudget:
     def test_small_budget_leaves_out_the_witness_note(self):
         code, out, _ = run_cli(["analyze", "8", "10", "11", "--budget", "3"])
         assert code == 3
-        assert "could not be decided" in out
+        assert (
+            "note: scaled-membership condition fails at level 2: 2*11 = 22 is "
+            "not a nonnegative combination of 8, 10\n"
+        ) in out
         assert "indeed" not in out
         code, out, _ = run_cli(["analyze", "8", "10", "11"])
         assert code == 3
         assert "note: indeed 33 = 3*11 lies in the semigroup" in out
 
-    def test_undecided_level_does_not_invalidate_the_closed_form(self):
-        # Every failure is a level the search left undecided, so (2,1),
-        # which is the Frobenius vector, is not called invalid.
-        code, out, _ = run_cli(["analyze", "1,3", "3,2", "1,1", "--budget", "3"])
+    def test_budget_never_changes_the_verdict(self):
+        # A budget too small for the level searches leaves the standard
+        # representations as witnesses: here the same ones the search finds.
+        system = ["analyze", "4", "6", "7", "9", "--format", "machine"]
+        code, out, _ = run_cli(system)
         assert code == 3
-        assert "not a valid Frobenius vector" not in out
-        assert (
-            "note: the closed-form value (2,1) could not be certified as the "
-            "Frobenius vector within the search budget\n"
-        ) in out
-        code, out, _ = run_cli(["analyze", "1,3", "3,2", "1,1"])
-        assert code == 0
-        assert "frobenius vector: (2,1)\n" in out
+        conditions = json.loads(out)["conditions"]
+        for budget in ("0", "3", "50"):
+            code, out, _ = run_cli(system + ["--budget", budget])
+            assert code == 3
+            assert json.loads(out)["conditions"] == conditions
+            code, out, _ = run_cli(["analyze", "1,3", "3,2", "1,1", "--budget", budget])
+            assert code == 0
+            assert "frobenius vector: (2,1)\nconductor: (3,2) (3,3)\n" in out
 
     def test_small_budget_subset_fallback_is_decided(self):
-        # The search leaves level 1 undecided; the fallback keeps every
-        # generator and decides the conditions without search.
-        code, out, _ = run_cli(
-            ["analyze", "1,3", "3,2", "1,1", "--allow-subset", "--budget", "3"]
-        )
+        # The conditions hold whatever the budget, so the fallback is not
+        # taken and adds no note.
+        argv = ["analyze", "1,3", "3,2", "1,1", "--budget", "3"]
+        code, out, _ = run_cli(argv + ["--allow-subset"])
+        assert (code, out) == run_cli(argv)[:2]
         assert code == 0
-        assert "could not be decided within the search budget" in out
-        assert "frobenius vector: (2,1)\nconductor: (3,2) (3,3)\n" in out
-        assert "the subset fallback dropped nothing" in out
+        assert "note:" not in out
+
+    @pytest.mark.parametrize(
+        "generators",
+        [["8", "10", "11", "13"], [str(v) for v in range(1000, 1200)]],
+        ids=["8-10-11-13", "1000-1199"],
+    )
+    def test_no_search_proves_a_non_member(self, generators, monkeypatch):
+        # Levels above the first failure are neither listed nor searched,
+        # and no search runs to prove a non-member: those searches are the
+        # unbounded ones.
+        results = []
+        original = affsemi.membership_bruteforce
+
+        def recorded(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        for module in (affsemi.semigroup, cli):
+            monkeypatch.setattr(module, "membership_bruteforce", recorded)
+        start = time.perf_counter()
+        code, out, _ = run_cli(["analyze", *generators, "--format", "machine"])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        levels = json.loads(out)["conditions"]["scaled_membership"]
+        assert [(c["level"], c["holds"]) for c in levels] == [("1", True), ("2", False)]
+        assert results and None not in results
 
 
 class TestMember:

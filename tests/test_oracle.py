@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from affsemi import (
     NotFullLatticeError,
+    SearchBudgetExceededError,
     fast_membership_grid,
     frobenius_number_dp,
     frobenius_vector,
@@ -28,6 +29,7 @@ from affsemi.oracle import (
     _coprime_values,
     _cone_map,
     _cone_numerators,
+    searched_conditions,
 )
 from tests.conftest import analyzed, make_system
 
@@ -294,6 +296,15 @@ class TestRandomSystems:
             assert all(
                 all(0 <= x <= 20 for x in v) for v in system.generators
             )
+
+    def test_searched_conditions_stop_at_the_first_failure(self):
+        system, chain, _ = analyzed([(8,), (10,), (11,), (13,)])
+        report = searched_conditions(system, chain)
+        assert report.strict_chain_violation == 3
+        assert [(c.level, c.holds) for c in report.scaled] == [(1, True), (2, False)]
+        assert report.scaled[0].witness == (5,)
+        with pytest.raises(SearchBudgetExceededError):
+            searched_conditions(system, chain, 0)
 
 
 def numerical_gaps_by_scan(generators):

@@ -19,6 +19,7 @@ from affsemi import (
 )
 from affsemi.exactlinalg import Vector, as_vector
 from affsemi.lattice import add, scale, sub
+from affsemi.oracle import searched_conditions
 from tests.conftest import analyzed, random_system
 
 
@@ -143,6 +144,19 @@ class TestValidateConditions:
         assert not report.strict_chain
         assert report.strict_chain_violation == 3
 
+    def test_exhausted_budget_keeps_the_decided_witness(self):
+        # Every level holds; with no search node allowed, the standard
+        # representations stay as the witnesses.
+        system, chain, _ = analyzed([(4,), (6,), (7,)])
+        report = validate_conditions(system, chain, 0)
+        assert report == decide_conditions(system, chain)
+        assert report.all_hold
+        assert [c.witness for c in report.scaled] == [(3,), (2, 1)]
+        # Levels above the first failure are not reported.
+        system, chain, _ = analyzed([(8,), (10,), (11,), (13,)])
+        report = validate_conditions(system, chain, 0)
+        assert [(c.level, c.holds) for c in report.scaled] == [(1, True), (2, False)]
+
     def test_chain_frozen_and_unchanged_by_validation(self, skew_example):
         system, chain, _ = skew_example
         assert chain == build_chain(system)
@@ -163,7 +177,7 @@ class TestDecideConditions:
             system = random_system(rng, e, extras, max_entry=8)
             chain = build_chain(system)
         decided = decide_conditions(system, chain)
-        searched = validate_conditions(system, chain, 10**6)
+        searched = searched_conditions(system, chain, 10**6)
         assert decided.strict_chain == searched.strict_chain
         assert decided.strict_chain_violation == searched.strict_chain_violation
         # The report runs up to the first level failing either condition.
@@ -173,10 +187,9 @@ class TestDecideConditions:
             decided.strict_chain_violation or system.extra_count,
         )
         assert [c.level for c in decided.scaled] == list(range(1, last + 1))
+        assert [c.level for c in searched.scaled] == list(range(1, last + 1))
         for mine, theirs in zip(decided.scaled, searched.scaled):
-            assert not mine.undecided
-            if not theirs.undecided:
-                assert mine.holds == theirs.holds, (system.generators, mine.level)
+            assert mine.holds == theirs.holds, (system.generators, mine.level)
             if mine.holds:
                 k = mine.level
                 target = scale(system.generators[e + k - 1], chain.indices[k - 1])
@@ -187,8 +200,9 @@ class TestDecideConditions:
                 assert total == target
             else:
                 assert mine.witness is None
-        if not any(c.undecided for c in searched.scaled):
-            assert decided.all_hold == searched.all_hold
+        # validate_conditions is the decided report with the search's
+        # witnesses, which a sufficient budget makes the reference's own.
+        assert validate_conditions(system, chain, 10**6) == searched
 
     def test_fixtures(self, numerical_example):
         system, chain, _ = numerical_example
