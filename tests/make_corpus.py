@@ -73,6 +73,11 @@ UNCONDITIONED = {
 #: at the default budget.
 BEYOND_FAILURE = ["8 10 11 13", "4 6 7 9 11", "5,0 0,5 1,2 3,1 2,2"]
 
+#: Systems whose subset fallback drops a generator from a conditioned
+#: system with a large conductor, analysed with ``--allow-subset`` at
+#: budget 0.
+SUBSET_FALLBACK = ["40,1,0 0,40,1 1,0,40 1,1,2 2,2,4"]
+
 CURVES = ["4 6 7", "6 9 13", "8 12 14 15", "2 3", "1000000000 1000000001", "4 6 8"]
 
 QUASI = [
@@ -125,6 +130,8 @@ def argvs():
     for text in BEYOND_FAILURE:
         for command in ("analyze", "verify"):
             yield from _variants([command] + text.split(), (None,))
+    for text in SUBSET_FALLBACK:
+        yield from _variants(["analyze"] + text.split() + ["--allow-subset"], ("0",), ("0",))
     for text in CURVES:
         yield from _variants(["curve"] + text.split(), (None, "0"))
     for text in QUASI:
