@@ -30,6 +30,7 @@ from .errors import ConditionsUnmetError, SearchBudgetExceededError
 from .exactlinalg import Vector
 from .frobenius import (
     CONDITIONS_UNMET,
+    DEFAULT_SEARCH_BUDGET,
     FrobeniusReport,
     _prepared,
     beyond_frobenius,
@@ -128,40 +129,22 @@ def _system_from_args(args) -> GeneratorSystem:
 
 
 # ---------------------------------------------------------------------------
-# machine document helpers (all integers rendered as decimal strings)
-
-
-def _sv(vector: Sequence[int]) -> list[str]:
-    return list(map(str, vector))
+# documents: ints, tuples and None, written only by _machine_text
 
 
 def _input_echo(system: GeneratorSystem) -> dict:
-    return {
-        "e": str(system.ambient_dim),
-        "generators": [_sv(v) for v in system.generators],
-    }
-
-
-def _chain_block(chain: LatticeChain) -> dict:
-    return {
-        "minor_gcds": _sv(chain.minor_gcds),
-        "indices": _sv(chain.indices),
-    }
+    return {"e": system.ambient_dim, "generators": system.generators}
 
 
 def _conditions_block(report: ConditionReport) -> dict:
     return {
         "strict_chain": report.strict_chain,
-        "strict_chain_violation": (
-            None
-            if report.strict_chain_violation is None
-            else str(report.strict_chain_violation)
-        ),
+        "strict_chain_violation": report.strict_chain_violation,
         "scaled_membership": [
             {
-                "level": str(check.level),
+                "level": check.level,
                 "holds": check.holds,
-                "witness": None if check.witness is None else _sv(check.witness),
+                "witness": check.witness,
                 "undecided": False,
             }
             for check in report.scaled
@@ -169,28 +152,35 @@ def _conditions_block(report: ConditionReport) -> dict:
     }
 
 
-def _combination_text(system: GeneratorSystem, coefficients: Sequence[int]) -> str:
+def _combination_text(
+    generators: Sequence[Sequence[int]], coefficients: Sequence[int]
+) -> str:
     terms = []
-    for coeff, gen in zip(coefficients, system.generators):
+    for coeff, gen in zip(coefficients, generators):
         if coeff:
             terms.append(f"{coeff}*{_vec_text(gen)}")
     return " + ".join(terms) if terms else "0"
 
 
 def _vec_text(vector: Sequence[int]) -> str:
-    vec = tuple(vector)
-    if len(vec) == 1:
-        return str(vec[0])
-    return "(" + ",".join(str(x) for x in vec) + ")"
+    if len(vector) == 1:
+        return str(vector[0])
+    return "(" + _ints_text(vector, ",") + ")"
+
+
+def _ints_text(values: Sequence[int], separator: str = " ") -> str:
+    return separator.join(map(str, values))
 
 
 def _machine_text(value, indent: str = "\n") -> str:
-    """What ``json.dumps`` prints for ``value`` with an indent of two
-    spaces, for the values machine documents hold: dicts with string keys,
-    lists, strings, booleans and None.
+    """What ``json.dumps`` prints, with an indent of two spaces, for
+    ``value`` with every integer that is not a bool turned into its decimal
+    string and every tuple into a list.  Machine documents hold dicts with
+    string keys, lists, tuples, integers, strings, booleans and None; this
+    is the only place their integers become strings.
 
-    A list of strings none of which needs escaping is written in one join,
-    which is what keeps long gap lists cheap.
+    A list of integers is written by one ``%d`` format, which is what keeps
+    long gap lists cheap.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -200,37 +190,29 @@ def _machine_text(value, indent: str = "\n") -> str:
         return "true"
     if value is False:
         return "false"
+    if isinstance(value, int):
+        return '"%d"' % value
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
         return (
             "{" + inner
-            + ("," + inner).join(
+            + ("," + inner).join([
                 _quote(key) + ": " + _machine_text(item, inner)
                 for key, item in value.items()
-            )
+            ])
             + indent + "}"
         )
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        try:
-            flat = "".join(value)
-        except TypeError:
-            pass
+        # Exact types, so that a bool is never written as a number.
+        if {int}.issuperset(map(type, value)):
+            items = (('"%d",' + inner) * (len(value) - 1) + '"%d"') % tuple(value)
         else:
-            # Escaping lengthens every string that needs it.
-            if len(_quote(flat)) == len(flat) + 2:
-                return (
-                    "[" + inner + '"' + ('",' + inner + '"').join(value) + '"'
-                    + indent + "]"
-                )
-        return (
-            "[" + inner
-            + ("," + inner).join(_machine_text(item, inner) for item in value)
-            + indent + "]"
-        )
+            items = ("," + inner).join([_machine_text(item, inner) for item in value])
+        return "[" + inner + items + indent + "]"
     raise TypeError(f"{type(value).__name__} has no place in a machine document")
 
 
@@ -294,7 +276,7 @@ def _condition_failure_diagnostics(
         if witness is not None:
             notes.append(
                 f"indeed {_vec_text(naive)} = "
-                f"{_combination_text(system, witness)} lies in the semigroup"
+                f"{_combination_text(system.generators, witness)} lies in the semigroup"
             )
     return notes
 
@@ -309,7 +291,7 @@ def _analysis_document(
 ) -> dict:
     document = {
         "input": _input_echo(system),
-        "chain": _chain_block(chain),
+        "chain": {"minor_gcds": chain.minor_gcds, "indices": chain.indices},
         "conditions": _conditions_block(report),
         "frobenius": None,
         "conductor": None,
@@ -323,20 +305,15 @@ def _analysis_document(
     if frobenius_report is None:
         return document
     document["frobenius"] = {
-        "vector": _sv(frobenius_report.vector),
+        "vector": frobenius_report.vector,
         "threshold_only": frobenius_report.threshold_only,
-        "used_subset": (
-            None
-            if frobenius_report.used_subset is None
-            else _sv(frobenius_report.used_subset)
-        ),
-        # frobenius_vector raises unless its re-check finds the vector in
-        # the group and outside the semigroup.
+        "used_subset": frobenius_report.used_subset,
+        # frobenius_vector and frobenius_subset raise unless their re-check
+        # finds the vector in the group and outside the semigroup.
         "vector_in_group": True,
         "vector_in_semigroup": False,
     }
-    if frobenius_report.conductor is not None and not frobenius_report.threshold_only:
-        document["conductor"] = [_sv(c) for c in frobenius_report.conductor]
+    document["conductor"] = frobenius_report.conductor
     if system.ambient_dim == 1 and chain.minor_gcds[-1] == 1:
         values = [v[0] for v in system.generators]
         gap_span = (
@@ -351,26 +328,26 @@ def _analysis_document(
             )
             return document
         gap_list = gaps(system, chain)
-        document["gaps"] = _sv(gap_list)
-        document["gap_count"] = str(len(gap_list))
+        document["gaps"] = gap_list
+        document["gap_count"] = len(gap_list)
         if frobenius_report.threshold_only:
             # The gap list pins the exact Frobenius number and conductor
             # even when the closed form only gives a threshold.
             frobenius_number = gap_list[-1] if gap_list else -1
-            document["true_frobenius_number"] = str(frobenius_number)
-            document["conductor"] = [_sv((frobenius_number + 1,))]
+            document["true_frobenius_number"] = frobenius_number
+            document["conductor"] = ((frobenius_number + 1,),)
             diagnostics.append(
                 f"the gap list gives the exact frobenius number {frobenius_number}"
             )
     return document
 
 
-def _human_analysis(document: dict) -> Iterator[str]:
+def _human_analyze(document: dict) -> Iterator[str]:
     gens = document["input"]["generators"]
     yield "generators: " + " ".join(_vec_text(v) for v in gens)
-    yield "minor gcds: " + " ".join(document["chain"]["minor_gcds"])
+    yield "minor gcds: " + _ints_text(document["chain"]["minor_gcds"])
     if document["chain"]["indices"]:
-        yield "indices:    " + " ".join(document["chain"]["indices"])
+        yield "indices:    " + _ints_text(document["chain"]["indices"])
     conditions = document["conditions"]
     ok = conditions["strict_chain"] and all(
         c["holds"] for c in conditions["scaled_membership"]
@@ -381,7 +358,7 @@ def _human_analysis(document: dict) -> Iterator[str]:
         label = "threshold vector" if frob["threshold_only"] else "frobenius vector"
         yield f"{label}: {_vec_text(frob['vector'])}"
         if frob["threshold_only"]:
-            kept = ", ".join(frob["used_subset"])
+            kept = _ints_text(frob["used_subset"], ", ")
             yield (
                 f"  (upper threshold from extra generators [{kept}]; "
                 "need not be minimal)"
@@ -389,9 +366,9 @@ def _human_analysis(document: dict) -> Iterator[str]:
     if document.get("conductor") is not None:
         yield "conductor: " + " ".join(_vec_text(c) for c in document["conductor"])
     if document.get("gaps") is not None:
-        yield f"gaps ({document['gap_count']}): " + " ".join(document["gaps"])
+        yield f"gaps ({document['gap_count']}): " + _ints_text(document["gaps"])
     if document.get("true_frobenius_number") is not None:
-        yield "true frobenius number: " + document["true_frobenius_number"]
+        yield f"true frobenius number: {document['true_frobenius_number']}"
     for note in document["diagnostics"]:
         yield "note: " + note
 
@@ -423,7 +400,7 @@ def _analysis(system: GeneratorSystem, args, allow_subset: bool) -> int:
             )
         else:
             # The full system fails, so the subset dropped something.
-            kept = ", ".join(str(k) for k in frob.used_subset)
+            kept = _ints_text(frob.used_subset, ", ")
             diagnostics.append(
                 f"closed form applied to the subset keeping extra generators "
                 f"[{kept}]; the vector is an upper threshold only and need not "
@@ -431,7 +408,7 @@ def _analysis(system: GeneratorSystem, args, allow_subset: bool) -> int:
             )
     error = None if frob else "conditions_unmet"
     document = _analysis_document(system, chain, report, frob, diagnostics, error)
-    _render(document, args.format, _human_analysis)
+    _render(document, args.format, _human_analyze)
     return 3 if error else 0
 
 
@@ -450,11 +427,7 @@ def cmd_member(args) -> int:
         representation = result.representation
         in_group = result.in_group
         in_semigroup = result.in_semigroup
-        witness = (
-            result.representation.coefficients
-            if result.in_semigroup
-            else None
-        )
+        witness = representation.coefficients if in_semigroup else None
         shift = sub(point, g)
         if (
             any(shift)
@@ -474,35 +447,36 @@ def cmd_member(args) -> int:
         in_semigroup = witness is not None
     document = {
         "input": _input_echo(system),
-        "point": _sv(point),
+        "point": point,
         "in_group": in_group,
         "in_semigroup": in_semigroup,
         "method": method,
         "representation": (
-            None if representation is None else _sv(representation.coefficients)
+            None if representation is None else representation.coefficients
         ),
-        "witness": None if witness is None else _sv(witness),
+        "witness": witness,
         "diagnostics": diagnostics,
     }
-
-    def human(document: dict) -> Iterator[str]:
-        yield (
-            f"point {_vec_text(document['point'])}: "
-            + ("member" if in_semigroup else "NOT a member")
-            + f" of the semigroup (method: {method})"
-        )
-        yield "in group: " + ("yes" if in_group else "no")
-        if representation is not None:
-            yield "standard representation: " + _combination_text(
-                system, representation.coefficients
-            )
-        if witness is not None:
-            yield "witness: " + _combination_text(system, witness)
-        for note in diagnostics:
-            yield "note: " + note
-
-    _render(document, args.format, human)
+    _render(document, args.format, _human_member)
     return 0
+
+
+def _human_member(document: dict) -> Iterator[str]:
+    generators = document["input"]["generators"]
+    yield (
+        f"point {_vec_text(document['point'])}: "
+        + ("member" if document["in_semigroup"] else "NOT a member")
+        + f" of the semigroup (method: {document['method']})"
+    )
+    yield "in group: " + ("yes" if document["in_group"] else "no")
+    if document["representation"] is not None:
+        yield "standard representation: " + _combination_text(
+            generators, document["representation"]
+        )
+    if document["witness"] is not None:
+        yield "witness: " + _combination_text(generators, document["witness"])
+    for note in document["diagnostics"]:
+        yield "note: " + note
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +489,20 @@ def cmd_dioph(args) -> int:
     answer = diophantine_solve(system, target, args.budget)
     document = {
         "input": _input_echo(system),
-        "target": _sv(target),
+        "target": target,
         "status": answer.status,
-        "witness": None if answer.witness is None else _sv(answer.witness),
+        "witness": answer.witness,
     }
-
-    def human(document: dict) -> Iterator[str]:
-        yield f"target {_vec_text(document['target'])}: {answer.status}"
-        if answer.witness is not None:
-            yield "witness: " + _combination_text(system, answer.witness)
-
-    _render(document, args.format, human)
+    _render(document, args.format, _human_dioph)
     return 3 if answer.status == CONDITIONS_UNMET else 0
+
+
+def _human_dioph(document: dict) -> Iterator[str]:
+    yield f"target {_vec_text(document['target'])}: {document['status']}"
+    if document["witness"] is not None:
+        yield "witness: " + _combination_text(
+            document["input"]["generators"], document["witness"]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +525,14 @@ def cmd_curve(args) -> int:
         else None
     )
     document = {
-        "input": {"n": str(n), "m": _sv(m)},
-        "generators": _sv(data.generators),
-        "gcd_chain": _sv(data.gcd_chain),
-        "indices": _sv(data.indices),
-        "conductor": str(data.conductor),
-        "milnor": str(data.milnor),
-        "gap_count": str(data.gap_count),
-        "gaps": None if gap_list is None else _sv(gap_list),
+        "input": {"n": n, "m": m},
+        "generators": data.generators,
+        "gcd_chain": data.gcd_chain,
+        "indices": data.indices,
+        "conductor": data.conductor,
+        "milnor": data.milnor,
+        "gap_count": data.gap_count,
+        "gaps": gap_list,
         # r_k = n_{k-1} r_{k-1} + m_k - m_{k-1} > n_{k-1} r_{k-1}: always valid.
         "zariski_valid": True,
     }
@@ -565,18 +541,18 @@ def cmd_curve(args) -> int:
 
 
 def _human_curve(document: dict) -> Iterator[str]:
-    yield f"multiplicity {document['input']['n']}, exponents " + " ".join(
+    yield f"multiplicity {document['input']['n']}, exponents " + _ints_text(
         document["input"]["m"]
     )
-    yield "generators: " + " ".join(document["generators"])
-    yield "gcd chain:  " + " ".join(document["gcd_chain"])
-    yield "indices:    " + " ".join(document["indices"])
+    yield "generators: " + _ints_text(document["generators"])
+    yield "gcd chain:  " + _ints_text(document["gcd_chain"])
+    yield "indices:    " + _ints_text(document["indices"])
     yield (
         f"conductor: {document['conductor']}   milnor: {document['milnor']}   "
         f"gaps: {document['gap_count']}"
     )
     if document["gaps"] is not None:
-        yield "gap list: " + " ".join(document["gaps"])
+        yield "gap list: " + _ints_text(document["gaps"])
 
 
 def cmd_quasi(args) -> int:
@@ -591,17 +567,13 @@ def cmd_quasi(args) -> int:
     dim = _parse_int(document["e"]) if "e" in document else len(m[0])
     data = qo_semigroup(QOExponents(dim, n, tuple(m)))
     document = {
-        "input": {"e": str(dim), "n": str(n), "m": [_sv(v) for v in m]},
-        "generators": [_sv(v) for v in data.generators],
-        "derived": [_sv(v) for v in data.derived],
-        "minor_gcds": _sv(data.minor_gcds),
-        "indices": _sv(data.indices),
-        "frobenius": _sv(data.vector),
-        "conductor": (
-            None
-            if data.report.conductor is None
-            else [_sv(c) for c in data.report.conductor]
-        ),
+        "input": {"e": dim, "n": n, "m": m},
+        "generators": data.generators,
+        "derived": data.derived,
+        "minor_gcds": data.minor_gcds,
+        "indices": data.indices,
+        "frobenius": data.vector,
+        "conductor": data.report.conductor,
     }
     _render(document, args.format, _human_quasi)
     return 0
@@ -613,8 +585,8 @@ def _human_quasi(document: dict) -> Iterator[str]:
         _vec_text(v) for v in given["m"]
     )
     yield "generators: " + " ".join(_vec_text(v) for v in document["generators"])
-    yield "minor gcds: " + " ".join(document["minor_gcds"])
-    yield "indices:    " + " ".join(document["indices"])
+    yield "minor gcds: " + _ints_text(document["minor_gcds"])
+    yield "indices:    " + _ints_text(document["indices"])
     yield "frobenius vector: " + _vec_text(document["frobenius"])
     if document["conductor"] is not None:
         yield "conductor: " + " ".join(_vec_text(c) for c in document["conductor"])
@@ -655,12 +627,10 @@ def cmd_verify(args) -> int:
         covered = verify_conductor(system, chain, frob.conductor, args.margin)
     document = {
         "input": _input_echo(system),
-        "margin": str(args.margin),
-        "frobenius": _sv(frob.vector),
+        "margin": args.margin,
+        "frobenius": frob.vector,
         "membership_guarantee_holds": check.holds,
-        "counterexample": (
-            None if check.counterexample is None else _sv(check.counterexample)
-        ),
+        "counterexample": check.counterexample,
         "conductor_covered": covered,
     }
     _render(document, args.format, _human_verify)
@@ -696,7 +666,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
         type=_nonnegative_int,
-        default=10**7,
+        default=DEFAULT_SEARCH_BUDGET,
         help="node budget for bounded searches",
     )
 

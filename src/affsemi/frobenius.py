@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConditionsUnmetError, NotFullLatticeError, SearchBudgetExceededError
@@ -61,12 +61,14 @@ class FrobeniusReport:
     """Frobenius vector together with how it was obtained.
 
     ``vector`` may have negative coordinates; it is a point of Z^e, not N^e.
-    ``conductor`` is present exactly when the generators span all of Z^e.
-    When ``threshold_only`` is set the vector came from the maximal
-    well-behaved subset of the generators and is only an upper threshold:
-    everything in the group beyond it is in the semigroup, but smaller
-    non-members may exist.  ``used_subset`` then lists the 1-based positions
-    of the extra generators that were kept.
+    ``conductor`` is present exactly when the vector is the true Frobenius
+    vector, the generators span all of Z^e and |det| is within
+    ``CONDUCTOR_ENUMERATION_LIMIT`` (always in dimension 1).  When
+    ``threshold_only`` is set the vector came from the maximal well-behaved
+    subset of the generators and is only an upper threshold: everything in
+    the group beyond it is in the semigroup, but smaller non-members may
+    exist.  ``used_subset`` then lists the 1-based positions of the extra
+    generators that were kept, and ``conductor`` is None.
     """
 
     vector: Vector
@@ -127,14 +129,7 @@ def frobenius_vector(
         raise ConditionsUnmetError(
             "frobenius_vector requires both chain conditions", report=conditions
         )
-    g = frobenius_formula(system, chain)
-    # Defensive re-check through the sign criterion, O(e^2) per level.
-    membership = membership_fast(system, chain, g, conditions)
-    if not membership.in_group or membership.in_semigroup:
-        raise AssertionError(
-            "the Frobenius vector must be a group element outside the "
-            "semigroup"
-        )
+    g = _rechecked_formula(system, chain, conditions)
     conductor = None
     if chain.minor_gcds[-1] == 1 and (
         system.ambient_dim == 1 or abs(system.det) <= CONDUCTOR_ENUMERATION_LIMIT
@@ -143,14 +138,34 @@ def frobenius_vector(
     return FrobeniusReport(vector=g, conductor=conductor)
 
 
+def _rechecked_formula(
+    system: GeneratorSystem, chain: LatticeChain, conditions: ConditionReport
+) -> Vector:
+    """The closed-form vector of a system whose conditions hold, after a
+    defensive re-check through the sign criterion, O(e^2) per level: it
+    must be in the group but not in the semigroup, else ``AssertionError``.
+    """
+    g = frobenius_formula(system, chain)
+    membership = membership_fast(system, chain, g, conditions)
+    if not membership.in_group or membership.in_semigroup:
+        raise AssertionError(
+            "the Frobenius vector must be a group element outside the "
+            "semigroup"
+        )
+    return g
+
+
 def frobenius_subset(system: GeneratorSystem, chain: LatticeChain) -> FrobeniusReport:
     """Frobenius threshold from the maximal strictly-descending subset.
 
     Extra generators already inside the group of their predecessors are
     dropped; the closed form applied to the survivors gives a vector beyond
-    which every group element is in the (full) semigroup.  The result is
-    flagged as threshold-only when anything was dropped, since the true
-    Frobenius vector of the full system may be smaller.
+    which every group element is in the (full) semigroup.  When nothing was
+    dropped the result is ``frobenius_vector`` of the system.  Otherwise it
+    is the re-checked closed form of the subset, flagged as threshold-only
+    since the true Frobenius vector of the full system may be smaller, and
+    without a conductor: the subset's conductor is not the system's, so it
+    is not enumerated.
 
     The dropped generators are those of index 1 in ``chain``, the chain of
     the full system: each lies in the group of the kept ones before it, so
@@ -169,10 +184,14 @@ def frobenius_subset(system: GeneratorSystem, chain: LatticeChain) -> FrobeniusR
             "the filtered subset still fails the scaled-membership condition",
             report=report,
         )
-    base = frobenius_vector(subsystem, subchain, report)
     if len(kept) == system.extra_count:
-        return base
-    return replace(base, threshold_only=True, used_subset=kept)
+        return frobenius_vector(subsystem, subchain, report)
+    return FrobeniusReport(
+        vector=_rechecked_formula(subsystem, subchain, report),
+        conductor=None,
+        threshold_only=True,
+        used_subset=kept,
+    )
 
 
 def beyond_frobenius(

@@ -364,17 +364,21 @@ def verify_conductor(
     conductor_points = [as_vector(c) for c in conductor]
     g = frobenius_formula(system, chain)
     offsets = [sub(c, g) for c in conductor_points]
+    span = _sweep_span(system, margin)
 
-    points = _box_points((0,) * e, _sweep_span(system, margin))
     # The cone coordinates are linear, so u - w is in the closed cone
-    # exactly when the coordinates of u dominate those of w.
+    # exactly when the coordinates of u dominate those of w.  Numerators that
+    # could pass int64 (offsets far from the origin, or a cone map of huge
+    # entries on a small box) are taken on exact Python integers.
     cone_map = _cone_map(system)
-    numerators = _cone_numerators(cone_map, points)
-    offset_numerators = _cone_numerators(
-        cone_map, np.array(offsets, dtype=np.int64).reshape(-1, e)
-    )
+    reach = max(abs(x) for v in (span, *offsets) for x in v)
+    adj_max = max(abs(x) for row in cone_map.rows for x in row)
+    dtype = np.int64 if _int64_safe(adj_max * reach * e) else object
+    matrix = np.array(cone_map.rows, dtype=dtype).T
+    numerators = _box_points((0,) * e, span).astype(dtype, copy=False) @ matrix
+    offset_numerators = np.array(offsets, dtype=dtype).reshape(-1, e) @ matrix
     interior = np.all(numerators > 0, axis=1)
-    covered = np.zeros(len(points), dtype=bool)
+    covered = np.zeros(len(numerators), dtype=bool)
     for w in offset_numerators:
         covered |= np.all(numerators >= w, axis=1)
     if bool(np.any(interior & ~covered)):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import affsemi
 from affsemi import cli
 from affsemi.oracle import MAX_GRID_CELLS
+from tests.make_corpus import CORPUS, record
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -83,6 +84,19 @@ class TestAnalyze:
         assert "threshold vector: 9" in out
         assert "true frobenius number: 5" in out
         assert "need not be minimal" in out
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "machine"]])
+    def test_subset_threshold_enumerates_no_conductor(self, monkeypatch, fmt):
+        # Dropping 2,2,4 leaves a system whose conductor takes seconds to
+        # enumerate, and a threshold document prints none.
+        argv = [
+            "analyze", "40,1,0", "0,40,1", "1,0,40", "1,1,2", "2,2,4",
+            "--allow-subset", "--budget", "0", *fmt,
+        ]
+        entries = map(json.loads, CORPUS.read_text().splitlines())
+        recorded = next(entry for entry in entries if entry["argv"] == argv)
+        forbid(monkeypatch, "minimal_cone_points", "a conductor was enumerated")
+        assert record(argv) == recorded
 
     def test_skewed_unimodular_cone_gets_a_conductor(self):
         code, out, _ = run_cli(["analyze", "1000,999", "999,998", "--format", "machine"])
@@ -459,6 +473,20 @@ class TestVerify:
         assert code == 4
         assert "counterexample: 9" in out
 
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            ["5000000000000000000,1", "4999999999999999999,1"],
+            ["1,10000000000,0", "0,1,10000000000", "0,0,1"],
+        ],
+    )
+    def test_unimodular_block_past_int64(self, generators):
+        # The conductor's offset from g (first) or the cone map (second)
+        # passes int64 on a one-point box.
+        code, out, err = run_cli(["verify", *generators, "--margin", "0"])
+        assert (code, err) == (0, "")
+        assert out.endswith("conductor cover on the margin box: holds\n")
+
     def test_oversized_box_exits_two(self):
         # The box has 10^19 + 1 cells; it is refused before it is built.
         code, out, err = run_cli(["verify", "10000000000000000000", "--margin", "1"])
@@ -611,18 +639,56 @@ _text = st.one_of(
     ),
 )
 
+_ints = st.one_of(
+    st.integers(), st.sampled_from([0, -1, 10**4999 + 7, -(10**4999)])
+)
+
 _documents = st.recursive(
-    st.one_of(st.none(), st.booleans(), _text, st.lists(_text)),
-    lambda children: st.one_of(st.lists(children), st.dictionaries(_text, children)),
+    st.one_of(
+        st.none(), st.booleans(), _text, _ints, st.lists(_text), st.lists(_ints)
+    ),
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(_text, children),
+    ),
     max_leaves=20,
 )
+
+
+def as_json_input(value):
+    """``value`` with every integer that is not a bool turned into its
+    decimal string and every tuple into a list: the document whose
+    ``json.dumps`` a machine document must equal."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: as_json_input(item) for key, item in value.items()}
+    return [as_json_input(item) for item in value]
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the int -> str digit cap, where the interpreter has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestMachineWriter:
     @settings(max_examples=200, deadline=None)
     @given(_documents)
     def test_matches_json_dumps(self, document):
-        assert cli._machine_text(document) == json.dumps(document, indent=2)
+        with no_digit_limit():
+            expected = json.dumps(as_json_input(document), indent=2)
+            assert cli._machine_text(document) == expected
 
     def test_long_gap_list(self):
         # 101 and 203 are coprime, so there are 100 * 202 / 2 = 10100 gaps.
@@ -631,21 +697,16 @@ class TestMachineWriter:
         report = affsemi.validate_conditions(system, chain)
         frob = affsemi.frobenius_vector(system, chain, report)
         document = cli._analysis_document(system, chain, report, frob, [])
-        assert document["gap_count"] == "10100"
-        assert cli._machine_text(document) == json.dumps(document, indent=2)
+        assert document["gap_count"] == 10100
+        expected = json.dumps(as_json_input(document), indent=2)
+        assert cli._machine_text(document) == expected
 
     def test_vector_strings(self):
-        # Lift the int -> str digit cap, where the interpreter has one.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        if limit is not None:
-            sys.set_int_max_str_digits(0)
-        try:
-            vector = (-1, 0, -(10**30), 10**4999 + 7, -(10**4999))
+        vector = (-1, 0, -(10**30), 10**4999 + 7, -(10**4999))
+        with no_digit_limit():
             assert len(str(vector[3])) == 5000
-            assert cli._sv(vector) == [str(int(x)) for x in vector]
-        finally:
-            if limit is not None:
-                sys.set_int_max_str_digits(limit)
+            expected = json.dumps({"v": [str(x) for x in vector]}, indent=2)
+            assert cli._machine_text({"v": vector}) == expected
 
 
 class TestImportPath:

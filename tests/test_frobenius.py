@@ -150,7 +150,8 @@ class TestFrobeniusSubset:
 
 def prefix_loop_subset(system):
     """Reference: re-reduce the growing prefix of kept generators and keep
-    an extra generator exactly when it leaves that prefix's group."""
+    an extra generator exactly when it leaves that prefix's group.  A
+    threshold from a proper subset carries no conductor."""
     kept = []
     current = list(system.leading())
     for k, extra in enumerate(system.extras(), start=1):
@@ -165,7 +166,9 @@ def prefix_loop_subset(system):
     base = frobenius_vector(subsystem, chain, report)
     if len(kept) == system.extra_count:
         return base
-    return replace(base, threshold_only=True, used_subset=tuple(kept))
+    return replace(
+        base, conductor=None, threshold_only=True, used_subset=tuple(kept)
+    )
 
 
 def cramer_in_closed_cone(system, vector):

@@ -202,6 +202,22 @@ class TestVerifyConductor:
         # (3,3) alone misses lattice points only covered through (3,2).
         assert not verify_conductor(system, chain, [(3, 3)], margin=3)
 
+    def test_offsets_past_int64(self):
+        # g = (1 - 10^19, -2), so the offset of the conductor point (0, 0)
+        # passes int64 while its cone numerators are (1, 1).
+        system, chain, report = analyzed([(5 * 10**18, 1), (5 * 10**18 - 1, 1)])
+        conductor = frobenius_vector(system, chain, report).conductor
+        assert conductor == ((0, 0),)
+        assert verify_conductor(system, chain, conductor, margin=0)
+
+    def test_exact_numerators_give_the_same_verdicts(
+        self, monkeypatch, unimodular_example
+    ):
+        system, chain, _ = unimodular_example
+        monkeypatch.setattr("affsemi.oracle._INT64_SAFE", 0)
+        assert verify_conductor(system, chain, [(3, 2), (3, 3)], margin=4)
+        assert not verify_conductor(system, chain, [(3, 3)], margin=3)
+
     def test_far_negative_point_is_not_a_member(self):
         # The membership grid spans [0, max of the conductor points], so a
         # point far below the origin is refused, not turned into a bound.
