@@ -669,26 +669,25 @@ def as_json_input(value):
     return [as_json_input(item) for item in value]
 
 
-@contextlib.contextmanager
+@pytest.fixture(scope="class")
 def no_digit_limit():
-    """Lift the int -> str digit cap, where the interpreter has one."""
+    """Lift the int -> str digit cap, where the interpreter has one, for a
+    whole class: hypothesis prints the 5000-digit examples too."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.usefixtures("no_digit_limit")
 class TestMachineWriter:
     @settings(max_examples=200, deadline=None)
     @given(_documents)
     def test_matches_json_dumps(self, document):
-        with no_digit_limit():
-            expected = json.dumps(as_json_input(document), indent=2)
-            assert cli._machine_text(document) == expected
+        expected = json.dumps(as_json_input(document), indent=2)
+        assert cli._machine_text(document) == expected
 
     def test_long_gap_list(self):
         # 101 and 203 are coprime, so there are 100 * 202 / 2 = 10100 gaps.
@@ -703,10 +702,9 @@ class TestMachineWriter:
 
     def test_vector_strings(self):
         vector = (-1, 0, -(10**30), 10**4999 + 7, -(10**4999))
-        with no_digit_limit():
-            assert len(str(vector[3])) == 5000
-            expected = json.dumps({"v": [str(x) for x in vector]}, indent=2)
-            assert cli._machine_text({"v": vector}) == expected
+        assert len(str(vector[3])) == 5000
+        expected = json.dumps({"v": [str(x) for x in vector]}, indent=2)
+        assert cli._machine_text({"v": vector}) == expected
 
 
 class TestImportPath:
