@@ -61,6 +61,10 @@ SLOW = {
     "10,0,0,1 1,10,0,0 0,1,10,0 0,0,1,10 2,1,1,1": ["5,5,5,5", "20000,10000,10000,10000"],
 }
 
+#: ``SLOW`` systems whose ``analyze`` is also recorded at the default
+#: budget, in both formats.
+SLOW_DEFAULT_BUDGET = ["40,1,0 0,40,1 1,0,40 1,1,2"]
+
 #: Systems where a chain condition fails.
 UNCONDITIONED = {
     "4 6 7 9": ["5", "9", "17"],
@@ -123,6 +127,8 @@ def argvs():
             yield from _variants(["member"] + gens + ["--point", point], small, ("0",))
             yield from _variants(["dioph"] + gens + ["--target", point], small, ("0",))
         yield from _variants(["verify"] + gens + ["--margin", "0"], small, ("0",))
+    for text in SLOW_DEFAULT_BUDGET:
+        yield from _variants(["analyze"] + text.split(), (None,))
     for text in systems:
         gens = text.split()
         margin = ["--margin", "1"] if len(gens[0].split(",")) >= 3 else []
