@@ -723,10 +723,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # Lift the 4300-digit cap on int <-> str so values of any size
-        # survive parsing and rendering.
-        sys.set_int_max_str_digits(0)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    # Lift the 4300-digit cap on int <-> str so values of any size survive
+    # parsing and rendering, and restore it for the caller.
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     args = build_parser().parse_args(argv)
     try:
         # Looked up per call, so a rebound cmd_<command> takes effect.

@@ -15,9 +15,11 @@ membership outright.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -226,20 +228,25 @@ def minimal_cone_points(system: GeneratorSystem) -> tuple[Vector, ...]:
     dominator of a parallelepiped point is itself one, so the minimal points
     of the parallelepiped are exactly the global minimal set.
 
-    The parallelepiped holds exactly one integral point per coset of the
-    lattice L of the leading generators, |det| points in all, so those are
-    enumerated from one representative per coset (the box of the Hermite
-    diagonal of L) shifted into the parallelepiped; see
-    ``_parallelepiped_coordinates``.  On the cone coordinates
-    c(u) = |det| B^-1 u, for B the matrix of the leading generators,
-    "u - w in the closed cone" is the componentwise test c(w) <= c(u), so
-    the minimal set is a Pareto minimum, the maxima problem of Kung, Luccio
-    and Preparata (1975).  It is taken in its sort-filter skyline form
-    (Chomicki et al., 2003): a dominator w of u has c(w) <= c(u) and
-    c(w) != c(u), hence a strictly smaller coordinate sum, so after sorting
-    by that sum each point needs testing only against the minimal points
-    kept before it.  In dimension 2 sorting by (c_1, c_2) turns the test
-    into a running minimum of c_2.
+    On the cone coordinates c(u) = |det| B^-1 u, for B the matrix of the
+    leading generators, "u - w in the closed cone" is the componentwise test
+    c(w) <= c(u), so the minimal set is a Pareto minimum of the |det|
+    parallelepiped points, the maxima problem of Kung, Luccio and Preparata
+    (1975).  It is found per dimension:
+
+    * e = 2, without listing the parallelepiped: the minimal points form a
+      staircase, the running minima of one residue sequence, walked in
+      O(output + log |det|) steps per run of equal steps (the
+      Hirzebruch-Jung walk; Fulton, *Introduction to Toric Varieties*,
+      2.6).  See ``_staircase_walk``.
+    * e = 3: the parallelepiped coordinates (``_parallelepiped_coordinates``)
+      filtered by one sorted sweep over a (c_2, c_3) staircase, O(|det| log
+      |det|).  See ``_staircase_sweep``.
+    * e >= 4: the same coordinates filtered by the sort-filter skyline
+      (Chomicki et al., 2003), O(|det| * minimal points).  See
+      ``_pareto_skyline``.
+
+    The |det| cap ``CONDUCTOR_ENUMERATION_LIMIT`` holds in every dimension.
     """
     e = system.ambient_dim
     if e == 1:
@@ -250,13 +257,16 @@ def minimal_cone_points(system: GeneratorSystem) -> tuple[Vector, ...]:
         raise ValueError(
             f"fundamental parallelepiped too large to enumerate ({bound} points)"
         )
-    leading = system.leading()
-    coordinates = _parallelepiped_coordinates(system)
-    minimal = _pareto_sweep(coordinates) if e == 2 else _pareto_skyline(coordinates)
+    if e == 2:
+        minimal = _staircase_walk(system)
+    elif e == 3:
+        minimal = _staircase_sweep(_parallelepiped_coordinates(system))
+    else:
+        minimal = _pareto_skyline(_parallelepiped_coordinates(system))
     # Back from coordinates to points: u = sum c_i v_i / |det|, exactly.
+    rows = tuple(zip(*system.leading()))
     return tuple(sorted(
-        tuple(sum(c_i * v[j] for c_i, v in zip(c, leading)) // bound for j in range(e))
-        for c in minimal
+        tuple(sum(map(operator.mul, c, row)) // bound for row in rows) for c in minimal
     ))
 
 
@@ -285,19 +295,97 @@ def _parallelepiped_coordinates(system: GeneratorSystem) -> list[Vector]:
     ]
 
 
-def _pareto_sweep(coordinates: Sequence[Vector]) -> list[Vector]:
-    """Componentwise-minimal pairs among distinct pairs.
+def _staircase_walk(system: GeneratorSystem) -> list[Vector]:
+    """Cone coordinates of the minimal points in dimension 2.
 
-    After sorting, every earlier pair has a smaller first entry, or an equal
-    one and a smaller second, so a pair is dominated exactly when some
-    earlier second entry is at most its own.
+    The coordinates form the lattice cone_map . Z^2, with basis (g, t) and
+    (0, h): g is the gcd of the first row of the cone map, h = |det| / g,
+    and t comes from the extended gcd.  The parallelepiped point with
+    c_1 = g i therefore has smallest c_2 = ((t i - 1) mod h) + 1, and the
+    minimal points are the strict running minima of that sequence over
+    i = 1 .. h.
+
+    From a record of value r at i, the next record is at i + s for the
+    least s >= 1 with t s mod h in [h - r + 1, h - 1]
+    (``_least_multiple_in_range``), and its value is r - d for
+    d = h - (t s mod h).  While the new value still exceeds d the same s
+    is the least again, so each run of equal steps costs one search.
     """
+    (m11, m12), (m21, m22) = system.cone_map
+    g, a, b = _extended_gcd(m11, m12)
+    h = abs(system.det) // g
+    t = (a * m21 + b * m22) % h
+    i, r = 1, (t - 1) % h + 1
+    minimal = [(g, r)]
+    while r > 1:
+        s = _least_multiple_in_range(t, h, h - r + 1, h - 1)
+        if s is None:
+            break
+        drop = h - t * s % h
+        while r > drop:
+            i, r = i + s, r - drop
+            minimal.append((g * i, r))
+    return minimal
+
+
+def _extended_gcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, a, b) with a x + b y = g = gcd(x, y) >= 0."""
+    a0, b0, a1, b1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        a0, a1 = a1, a0 - q * a1
+        b0, b1 = b1, b0 - q * b1
+    if x < 0:
+        return -x, -a0, -b0
+    return x, a0, b0
+
+
+def _least_multiple_in_range(a: int, m: int, low: int, high: int) -> Optional[int]:
+    """Least k >= 1 with low <= a k mod m <= high, for 0 < low <= high < m
+    and 0 <= a < m, or None when there is none.
+
+    Either k = ceil(low / a) already lands in range, or [low, high] holds
+    no multiple of a, and then the least k belongs to the least y >= 1 with
+    a k - m y in range, that is with m y mod a in the range
+    [a - high mod a, a - low mod a]: the same problem for (m mod a, a), so
+    the recursion follows Euclid's algorithm, O(log m) steps.
+    """
+    if a == 0:
+        return None
+    k = -(-low // a)
+    if a * k <= high:
+        return k
+    y = _least_multiple_in_range(m % a, a, a - high % a, a - low % a)
+    if y is None:
+        return None
+    return -(-(low + m * y) // a)
+
+
+def _staircase_sweep(coordinates: Sequence[Vector]) -> list[Vector]:
+    """Componentwise-minimal triples among distinct triples.
+
+    In lexicographic order every dominator of a triple comes first, so a
+    triple is dominated exactly when some earlier (c_2, c_3) is at most its
+    own.  The minimal pairs seen so far form a staircase, c_2 ascending and
+    c_3 strictly descending; the entry at ``bisect_right(c_2) - 1`` has the
+    least c_3 among those with small enough c_2, so it alone decides.  A
+    new minimal triple then replaces the run of entries it covers.
+    """
+    seconds: list[int] = []
+    thirds: list[int] = []
     minimal = []
-    lowest = None
     for c in sorted(coordinates):
-        if lowest is None or c[1] < lowest:
-            minimal.append(c)
-            lowest = c[1]
+        _, c2, c3 = c
+        below = bisect.bisect_right(seconds, c2) - 1
+        if below >= 0 and thirds[below] <= c3:
+            continue
+        minimal.append(c)
+        start = end = bisect.bisect_left(seconds, c2, 0, below + 1)
+        while end < len(thirds) and thirds[end] >= c3:
+            end += 1
+        seconds[start:end] = [c2]
+        thirds[start:end] = [c3]
     return minimal
 
 

@@ -14,6 +14,7 @@ claims on the swept box only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -62,26 +63,46 @@ class TheoremCheck:
     counterexample: Optional[Vector] = None
 
 
+#: The last grid ``reachable_grid`` built, read-only, with the generators
+#: it closes and its upper corner.
+_last_grid: Optional[tuple[tuple[Vector, ...], Vector, np.ndarray]] = None
+
+
 def reachable_grid(system: GeneratorSystem, upper: Sequence[int]) -> np.ndarray:
-    """Boolean grid over [0, upper] marking the semigroup elements.
+    """Read-only boolean grid over [0, upper] marking the semigroup elements.
 
     Seeds the origin and closes under generator addition; the closure under
     one generator is taken with doubling shifts, and running the generators
     one after another gives the joint closure because addition commutes.
+    Every partial sum of a representation of a point p lies in [0, p], so
+    the grid of a larger box restricted to [0, upper] is the grid of
+    [0, upper]: the last grid built is kept, and a request it covers for
+    the same generators gets a view of it.  ``verify_theorem1`` and
+    ``verify_conductor`` of one system so close the generators once.
     """
+    global _last_grid
     up = as_vector(upper)
     e = system.ambient_dim
     if len(up) != e:
         raise ValueError("upper bound has wrong dimension")
     if any(u < 0 for u in up):
         raise ValueError("upper bound must be nonnegative")
+    if _last_grid is not None:
+        generators, corner, grid = _last_grid
+        if generators == system.generators and all(
+            u <= c for u, c in zip(up, corner)
+        ):
+            return grid[tuple(slice(0, u + 1) for u in up)]
     shape = tuple(u + 1 for u in up)
     cells = math.prod(shape)
     if cells > MAX_GRID_CELLS:
         raise ValueError(f"grid of {cells} cells exceeds the safety cap")
+    _last_grid = None
     grid = np.zeros(shape, dtype=bool)
     grid[(0,) * e] = True
     _close_under_generators(grid, system.generators, up)
+    grid.flags.writeable = False
+    _last_grid = (system.generators, up, grid)
     return grid
 
 
@@ -146,10 +167,12 @@ def _int64_safe(*bounds: int) -> bool:
     return all(abs(b) < _INT64_SAFE for b in bounds)
 
 
+@functools.lru_cache(maxsize=1)
 def _cone_map(system: GeneratorSystem) -> IntMatrix:
     """sign(det) adj(B) for the leading block B, so that the map sends u to
-    |det| B^-1 u.  Each public entry computes it once, from the generators
-    alone, and hands it to the sweeps."""
+    |det| B^-1 u.  Each public entry computes it from the generators alone
+    and hands it to the sweeps; the last one is kept, so the two sweeps of
+    one system compute it once."""
     leading = system.leading_matrix()
     sign = 1 if determinant(leading) > 0 else -1
     adj = adjugate(leading)
@@ -207,6 +230,32 @@ def _cone_numerators(cone_map: IntMatrix, diffs: np.ndarray) -> np.ndarray:
     open cone iff every entry is > 0.
     """
     return diffs @ np.array(cone_map.rows, dtype=np.int64).T
+
+
+def _box_numerators(
+    cone_map: IntMatrix, span: Vector, dtype: type = np.int64
+) -> list[np.ndarray]:
+    """``cone_map`` @ u for every point u of the box [0, span], one array
+    of the box's shape per cone coordinate.
+
+    The map is linear, so row k is the sum over axes j of
+    cone_map[k][j] * (the range of axis j), broadcast along that axis; no
+    array of points is built.
+    """
+    e = len(span)
+    ranges = [
+        np.arange(s + 1, dtype=dtype).reshape((-1,) + (1,) * (e - 1 - j))
+        for j, s in enumerate(span)
+    ]
+    shape = tuple(s + 1 for s in span)
+    numerators = []
+    for row in cone_map.rows:
+        total = np.zeros(shape, dtype=dtype)
+        for a, axis in zip(row, ranges):
+            if a:
+                total = total + a * axis
+        numerators.append(total)
+    return numerators
 
 
 def _box_points(lower: Vector, upper: Vector) -> np.ndarray:
@@ -293,7 +342,8 @@ def verify_theorem1(
     """
     g = as_vector(g)
     e = system.ambient_dim
-    upper = add(g, _sweep_span(system, margin))
+    span = _sweep_span(system, margin)
+    upper = add(g, span)
     grid_upper = tuple(max(u, 0) for u in upper)
     gamma = reachable_grid(system, grid_upper)
 
@@ -314,18 +364,22 @@ def verify_theorem1(
     )
     cone_map = _cone_map(system)
     if _sweep_int64_safe(cone_map, chain.bases[-1], coord_bound):
-        points = _box_points(g, upper)
-        diffs = points - np.array(g, dtype=np.int64)
-        beyond = np.all(_cone_numerators(cone_map, diffs) > 0, axis=1)
-        in_group = _substitute(chain.bases[-1], points)[0]
-        nonneg = np.all(points >= 0, axis=1)
-        member = np.zeros(len(points), dtype=bool)
-        rows = points[nonneg]
-        member[nonneg] = gamma[tuple(rows[:, j] for j in range(e))]
-        bad = beyond & in_group & ~member
+        # Arrays of the box's shape, indexed by the offset from g; C order
+        # is the lexicographic order of the points.
+        shape = tuple(s + 1 for s in span)
+        bad = np.ones(shape, dtype=bool)
+        for numerator in _box_numerators(cone_map, span):
+            bad &= numerator > 0
+        if chain.minor_gcds[-1] != 1:
+            bad &= _substitute(chain.bases[-1], _box_points(g, upper))[0].reshape(shape)
+        # The members: the part of the box in the orthant is a slice of
+        # the grid.
+        if all(u >= 0 for u in upper):
+            inside = tuple(slice(max(-x, 0), None) for x in g)
+            bad[inside] &= ~gamma[tuple(slice(max(x, 0), u + 1) for x, u in zip(g, upper))]
         if bad.any():
-            first = int(np.argmax(bad))
-            return TheoremCheck(False, tuple(int(x) for x in points[first]))
+            first = np.unravel_index(int(np.argmax(bad)), shape)
+            return TheoremCheck(False, tuple(x + int(i) for x, i in zip(g, first)))
         return TheoremCheck(True)
 
     for point in _iterate_box(g, upper):
@@ -374,14 +428,27 @@ def verify_conductor(
     reach = max(abs(x) for v in (span, *offsets) for x in v)
     adj_max = max(abs(x) for row in cone_map.rows for x in row)
     dtype = np.int64 if _int64_safe(adj_max * reach * e) else object
-    matrix = np.array(cone_map.rows, dtype=dtype).T
-    numerators = _box_points((0,) * e, span).astype(dtype, copy=False) @ matrix
-    offset_numerators = np.array(offsets, dtype=dtype).reshape(-1, e) @ matrix
-    interior = np.all(numerators > 0, axis=1)
-    covered = np.zeros(len(numerators), dtype=bool)
-    for w in offset_numerators:
-        covered |= np.all(numerators >= w, axis=1)
-    if bool(np.any(interior & ~covered)):
+    numerators = [n.reshape(-1, 1) for n in _box_numerators(cone_map, span, dtype)]
+    offset_numerators = (
+        np.array(offsets, dtype=dtype).reshape(-1, e)
+        @ np.array(cone_map.rows, dtype=dtype).T
+    )
+    cells = len(numerators[0])
+    uncovered = np.ones(cells, dtype=bool)
+    for n in numerators:
+        uncovered &= n[:, 0] > 0
+    # Interior points are struck off by a boolean (points x offsets)
+    # dominance array, built by & over the coordinates; the offsets go in
+    # chunks that keep the array and its comparison temporary under
+    # MAX_SWEEP_BYTES together.
+    chunk = max(1, MAX_SWEEP_BYTES // (2 * cells))
+    for start in range(0, len(offset_numerators), chunk):
+        block = offset_numerators[start : start + chunk]
+        dominates = numerators[0] >= block[:, 0]
+        for j in range(1, e):
+            dominates &= numerators[j] >= block[:, j]
+        uncovered &= ~dominates.any(axis=1)
+    if bool(np.any(uncovered)):
         return False
 
     if any(x < 0 for c in conductor_points for x in c):

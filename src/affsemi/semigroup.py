@@ -14,8 +14,9 @@ bounded search for an explicit nonnegative combination and serves as the
 independent cross-check.  ``decide_conditions`` decides the conditions
 themselves by the same sign criterion, without search, and is their only
 decider.  ``validate_conditions`` reports the same verdicts with the
-witnesses the search finds for the levels that hold, which the ``analyze``
-and ``verify`` documents print; the search never decides a verdict.  The
+witnesses the search finds for the levels above the first that hold, which
+the ``analyze`` and ``verify`` documents print; the search never decides a
+verdict.  The
 search-only check is ``oracle.searched_conditions``, the reference the
 tests compare against.
 """
@@ -83,17 +84,19 @@ def validate_conditions(
     """``decide_conditions`` with the witnesses the search finds.
 
     The verdicts and the levels reported are those of ``decide_conditions``.
-    For each level that holds, ``membership_bruteforce`` looks for a witness
-    under ``search_budget``; the search is deterministic, so reruns
-    reproduce the same one.  When the budget runs out, the standard
-    representation stays as the witness, so the budget never changes a
-    verdict.
+    For each level above the first that holds, ``membership_bruteforce``
+    looks for a witness under ``search_budget``; the search is
+    deterministic, so reruns reproduce the same one.  When the budget runs
+    out, the standard representation stays as the witness, so the budget
+    never changes a verdict.  Level 1 runs no search: its predecessors are
+    the e leading generators, a basis, so the standard representation is
+    the only witness there.
     """
     report = decide_conditions(system, chain)
     e = system.ambient_dim
 
     def searched(check: ScaledMembershipCheck) -> ScaledMembershipCheck:
-        if not check.holds:
+        if not check.holds or check.level == 1:
             return check
         k = check.level
         target = scale(system.generators[e + k - 1], chain.indices[k - 1])

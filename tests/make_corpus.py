@@ -13,8 +13,8 @@ The script rewrites the whole file and prints the argv of every entry whose
 recorded behaviour changed; each such entry is a behaviour change to
 explain.  The argv list below is literal, so no change to a random
 generator can move it.  Every entry runs in milliseconds, except the
-``analyze`` entries of the ``SLOW`` systems, which enumerate their
-conductors.
+``analyze`` entries of the e = 4 ``SLOW`` system, which enumerate its
+conductor over the whole fundamental parallelepiped.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ CONDITIONED = {
     ],
 }
 
-#: Conditioned systems whose witness search at the default budget takes
-#: seconds: only the small budgets are recorded.  Their conductors take
-#: 8 to 20 s each, so their ``analyze`` entries are slow at any budget.
+#: Conditioned systems whose witness searches at the default budget took
+#: seconds: only the small budgets are recorded.  The e = 4 conductor takes
+#: seconds to enumerate, so its ``analyze`` entries are slow at any budget.
 SLOW = {
     "40,1,0 0,40,1 1,0,40 1,1,2": ["5,5,5", "64000,64000,128000"],
     "10,0,0,1 1,10,0,0 0,1,10,0 0,0,1,10 2,1,1,1": ["5,5,5,5", "20000,10000,10000,10000"],

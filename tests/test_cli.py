@@ -526,6 +526,29 @@ class TestConditionsDecidedWithoutSearch:
         assert (code, err) == (0, "")
         assert json.loads(out)["membership_guarantee_holds"] is True
 
+    @pytest.mark.parametrize(
+        "generators",
+        [SYSTEM, ["4,0,4", "1,3,3", "4,2,4", "1,0,1", "2,2,3"]],
+        ids=["one-level", "two-levels"],
+    )
+    @pytest.mark.parametrize("fmt", [[], ["--format", "machine"]])
+    def test_analyze_searches_no_level_1_witness(self, monkeypatch, generators, fmt):
+        # The leading generators are a basis, so the level-1 witness is the
+        # standard representation; searching for it took seconds here.
+        original = affsemi.membership_bruteforce
+        e = len(generators[0].split(","))
+
+        def searched(predecessors, *args, **kwargs):
+            if len(predecessors) == e:
+                raise AssertionError("a level-1 witness search ran")
+            return original(predecessors, *args, **kwargs)
+
+        monkeypatch.setattr(affsemi.semigroup, "membership_bruteforce", searched)
+        argv = ["analyze", *generators, *fmt]
+        entries = map(json.loads, CORPUS.read_text().splitlines())
+        recorded = next(entry for entry in entries if entry["argv"] == argv)
+        assert record(argv) == recorded
+
     def test_oversize_verify_box_is_refused_before_the_conductor(self, monkeypatch):
         forbid(monkeypatch, "minimal_cone_points", "the conductor was enumerated")
         code, out, err = run_cli(
@@ -537,13 +560,27 @@ class TestConditionsDecidedWithoutSearch:
 
 
 class TestBigIntegers:
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no digit cap"
+    )
+    @pytest.mark.parametrize(
+        "argv", [["analyze", "4", "6", "7"], ["analyze", "4", "x"], ["analyze", "--bad"]]
+    )
+    def test_main_leaves_the_digit_cap_as_it_found_it(self, argv):
+        cap = sys.get_int_max_str_digits()
+        with contextlib.suppress(SystemExit):
+            run_cli(argv)
+        assert sys.get_int_max_str_digits() == cap
+
     def test_values_beyond_the_default_digit_limit(self):
         big = "3" + "0" * 4400 + "1"
         code, out, err = run_cli(["analyze", "2", big, "--format", "machine"])
         assert (code, err) == (0, "")
         document = json.loads(out)
         assert document["input"]["generators"] == [["2"], [big]]
-        assert document["frobenius"]["vector"] == [str(int(big) - 2)]
+        # 3 * 10**4401 + 1 - 2, written out: main restores the cap, so the
+        # test cannot convert the 4402-digit string itself.
+        assert document["frobenius"]["vector"] == ["2" + "9" * 4401]
 
     def test_huge_generators_round_trip(self, tmp_path):
         a = str(10**21)

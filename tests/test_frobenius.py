@@ -33,9 +33,11 @@ from affsemi.frobenius import (
     NO_SOLUTION,
     SOLVABLE_BY_CONE,
     SOLVABLE_WITH_WITNESS,
+    _least_multiple_in_range,
     _parallelepiped_coordinates,
     _pareto_skyline,
-    _pareto_sweep,
+    _staircase_sweep,
+    _staircase_walk,
     apery_set,
     frobenius_formula,
     in_closed_cone,
@@ -345,7 +347,79 @@ class TestMinimalConePointsEnumeration:
             assert a1 < b1 and a2 > b2
         every = _parallelepiped_coordinates(system)
         assert len(set(every)) == det
-        assert set(_pareto_sweep(every)) == set(_pareto_skyline(every)) == set(coordinates)
+        assert set(_pareto_skyline(every)) == set(coordinates)
+
+
+def _nonsingular(columns):
+    det = determinant(IntMatrix.from_columns(columns))
+    assume(det != 0)
+    return GeneratorSystem(len(columns), tuple(columns)), abs(det)
+
+
+@st.composite
+def scaled_blocks(draw, e, top):
+    """e x e blocks with entries up to about ``top``, a common factor that
+    puts itself on the Hermite diagonal, and either sign of det."""
+    factor = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    columns = [
+        tuple(factor * draw(st.integers(0, top // factor)) for _ in range(e))
+        for _ in range(e)
+    ]
+    if draw(st.booleans()):
+        columns[0], columns[1] = columns[1], columns[0]
+    return columns
+
+
+class TestStaircases:
+    """The e = 2 walk and the e = 3 sweep against the skyline over the whole
+    parallelepiped, and the walk's Euclid step against a scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scaled_blocks(2, 100))
+    @example([(2, 0), (0, 2)])
+    @example([(6, 0), (0, 6)])
+    @example([(1, 0), (0, 1)])
+    @example([(0, 1), (1, 0)])
+    @example([(100, 1), (1, 100)])
+    @example([(6, 12), (12, 6)])
+    def test_walk_matches_the_skyline(self, columns):
+        system, det = _nonsingular(columns)
+        assume(det <= 10_000)
+        expected = _pareto_skyline(_parallelepiped_coordinates(system))
+        assert sorted(_staircase_walk(system)) == sorted(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scaled_blocks(3, 12))
+    @example([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    @example([(0, 3, 1), (3, 1, 0), (1, 0, 3)])
+    @example([(6, 0, 6), (0, 6, 0), (6, 6, 0)])
+    def test_sweep_matches_the_skyline(self, columns):
+        system, det = _nonsingular(columns)
+        assume(det <= 3_000)
+        every = _parallelepiped_coordinates(system)
+        assert sorted(_staircase_sweep(every)) == sorted(_pareto_skyline(every))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(2, 400))
+    def test_euclid_step_matches_a_scan(self, data, m):
+        a = data.draw(st.integers(0, m - 1))
+        low = data.draw(st.integers(1, m - 1))
+        high = data.draw(st.integers(low, m - 1))
+        scan = next((k for k in range(1, m + 1) if low <= a * k % m <= high), None)
+        assert _least_multiple_in_range(a, m, low, high) == scan
+
+    def test_large_e3_determinant(self):
+        # |det| = 64 001 with 4681 minimal points: seconds for the skyline.
+        system = GeneratorSystem(3, ((40, 0, 1), (1, 40, 0), (0, 1, 40)))
+        points = minimal_cone_points(system)
+        assert abs(system.det) == 64_001 and len(points) == 4681
+        coordinates = sorted(system.cone_coordinates(u) for u in points)
+        # Pairwise incomparable: each one is strictly below every earlier
+        # one in some coordinate.
+        for i, c in enumerate(coordinates[:200]):
+            assert all(
+                any(x < y for x, y in zip(c, w)) for w in coordinates[:i]
+            )
 
 
 class TestSylvesterAndGaps:

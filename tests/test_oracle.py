@@ -230,6 +230,70 @@ class TestVerifyConductor:
         with pytest.raises(NotFullLatticeError):
             verify_conductor(system, chain, [(11, 7)], margin=2)
 
+    def test_offsets_in_several_chunks(self, monkeypatch, unimodular_example):
+        # Translates of the conductor points by the semigroup add offsets
+        # without changing the cover; the smallest byte cap the margin-3 box
+        # passes leaves room for 56 offsets a chunk, fewer than the 82 here.
+        system, chain, _ = unimodular_example
+        (a, b) = ((3, 2), (3, 3))
+        translates = [add(a, scale((1, 3), k)) for k in range(1, 41)]
+        translates += [add(b, scale((3, 2), k)) for k in range(1, 41)]
+        monkeypatch.setattr("affsemi.oracle.MAX_SWEEP_BYTES", 13 * 16 * 7 * 8 * 2)
+        for variant, verdict in [
+            ([a, b] + translates, True),
+            ([b] + translates, False),
+            (translates + [a, b], True),
+        ]:
+            assert len(variant) > 56
+            assert verify_conductor(system, chain, variant, margin=3) is verdict
+            assert verify_conductor_pointwise(system, chain, variant, margin=3) is verdict
+
+
+class TestSharedGrid:
+    """``reachable_grid`` keeps its last grid, so ``verify_theorem1`` and
+    ``verify_conductor`` of one system close the generators once."""
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        import affsemi.oracle as oracle_module
+
+        calls = []
+
+        def counted(grid, generators, upper):
+            calls.append(tuple(generators))
+            _close_under_generators(grid, generators, upper)
+
+        monkeypatch.setattr(oracle_module, "_last_grid", None)
+        monkeypatch.setattr(oracle_module, "_close_under_generators", counted)
+        return calls
+
+    def test_the_pair_closes_each_generator_set_once(
+        self, closures, unimodular_example, skew_example
+    ):
+        for example in (unimodular_example, skew_example):
+            system, chain, report = example
+            frob = frobenius_vector(system, chain, report)
+            # The larger margin first: its grid covers the smaller boxes.
+            for margin in (3, 1):
+                assert verify_theorem1(system, chain, frob.vector, margin).holds
+                assert verify_conductor(system, chain, frob.conductor, margin)
+        assert closures == [
+            unimodular_example[0].generators, skew_example[0].generators
+        ]
+
+    def test_a_covered_box_gets_a_read_only_restriction(self, closures):
+        system, _, _ = analyzed([(2, 1), (1, 2), (1, 1)])
+        large = reachable_grid(system, (9, 7))
+        small = reachable_grid(system, (4, 6))
+        assert len(closures) == 1
+        assert not large.flags.writeable and not small.flags.writeable
+        expected = np.zeros((5, 7), dtype=bool)
+        expected[0, 0] = True
+        _close_under_generators(expected, system.generators, (4, 6))
+        assert np.array_equal(small, expected)
+        reachable_grid(system, (10, 7))
+        assert len(closures) == 2
+
 
 class TestSweepCap:
     """A sweep box whose arrays would pass MAX_SWEEP_BYTES is refused before
