@@ -428,25 +428,22 @@ def verify_conductor(
     reach = max(abs(x) for v in (span, *offsets) for x in v)
     adj_max = max(abs(x) for row in cone_map.rows for x in row)
     dtype = np.int64 if _int64_safe(adj_max * reach * e) else object
-    numerators = [n.reshape(-1, 1) for n in _box_numerators(cone_map, span, dtype)]
+    numerators = [n.ravel() for n in _box_numerators(cone_map, span, dtype)]
     offset_numerators = (
         np.array(offsets, dtype=dtype).reshape(-1, e)
         @ np.array(cone_map.rows, dtype=dtype).T
     )
-    cells = len(numerators[0])
-    uncovered = np.ones(cells, dtype=bool)
-    for n in numerators:
-        uncovered &= n[:, 0] > 0
-    # Interior points are struck off by a boolean (points x offsets)
-    # dominance array, built by & over the coordinates; the offsets go in
-    # chunks that keep the array and its comparison temporary under
-    # MAX_SWEEP_BYTES together.
-    chunk = max(1, MAX_SWEEP_BYTES // (2 * cells))
+    uncovered = np.logical_and.reduce([n > 0 for n in numerators])
+    # The interior points covered by an offset are struck off with a
+    # boolean (points x offsets) array, built by & over the coordinates;
+    # the offsets go in chunks that keep the array and its comparison
+    # temporary under MAX_SWEEP_BYTES together.
+    chunk = max(1, MAX_SWEEP_BYTES // (2 * len(uncovered)))
     for start in range(0, len(offset_numerators), chunk):
         block = offset_numerators[start : start + chunk]
-        dominates = numerators[0] >= block[:, 0]
+        dominates = numerators[0][:, None] >= block[:, 0]
         for j in range(1, e):
-            dominates &= numerators[j] >= block[:, j]
+            dominates &= numerators[j][:, None] >= block[:, j]
         uncovered &= ~dominates.any(axis=1)
     if bool(np.any(uncovered)):
         return False

@@ -408,19 +408,6 @@ class TestStaircases:
         scan = next((k for k in range(1, m + 1) if low <= a * k % m <= high), None)
         assert _least_multiple_in_range(a, m, low, high) == scan
 
-    def test_large_e3_determinant(self):
-        # |det| = 64 001 with 4681 minimal points: seconds for the skyline.
-        system = GeneratorSystem(3, ((40, 0, 1), (1, 40, 0), (0, 1, 40)))
-        points = minimal_cone_points(system)
-        assert abs(system.det) == 64_001 and len(points) == 4681
-        coordinates = sorted(system.cone_coordinates(u) for u in points)
-        # Pairwise incomparable: each one is strictly below every earlier
-        # one in some coordinate.
-        for i, c in enumerate(coordinates[:200]):
-            assert all(
-                any(x < y for x, y in zip(c, w)) for w in coordinates[:i]
-            )
-
 
 class TestSylvesterAndGaps:
     def test_matches_two_generator_formula(self, numerical_example):

@@ -232,10 +232,11 @@ class TestVerifyConductor:
 
     def test_offsets_in_several_chunks(self, monkeypatch, unimodular_example):
         # Translates of the conductor points by the semigroup add offsets
-        # without changing the cover; the smallest byte cap the margin-3 box
-        # passes leaves room for 56 offsets a chunk, fewer than the 82 here.
+        # without changing the cover.  The smallest byte cap that the
+        # margin-3 box (13 x 16 cells, e = 2) passes leaves room for 56
+        # offsets a chunk, fewer than the 82 here.
         system, chain, _ = unimodular_example
-        (a, b) = ((3, 2), (3, 3))
+        a, b = (3, 2), (3, 3)
         translates = [add(a, scale((1, 3), k)) for k in range(1, 41)]
         translates += [add(b, scale((3, 2), k)) for k in range(1, 41)]
         monkeypatch.setattr("affsemi.oracle.MAX_SWEEP_BYTES", 13 * 16 * 7 * 8 * 2)
