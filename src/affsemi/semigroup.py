@@ -16,9 +16,8 @@ themselves by the same sign criterion, without search, and is their only
 decider.  ``validate_conditions`` reports the same verdicts with the
 witnesses the search finds for the levels above the first that hold, which
 the ``analyze`` and ``verify`` documents print; the search never decides a
-verdict.  The
-search-only check is ``oracle.searched_conditions``, the reference the
-tests compare against.
+verdict.  The search-only check is ``oracle.searched_conditions``, the
+reference the tests compare against.
 """
 
 from __future__ import annotations
