@@ -12,9 +12,9 @@ Run from the repository root:
 The script rewrites the whole file and prints the argv of every entry whose
 recorded behaviour changed; each such entry is a behaviour change to
 explain.  The argv list below is literal, so no change to a random
-generator can move it.  Every entry runs in milliseconds, except the
-``analyze`` entries of the e = 4 ``SLOW`` system, which enumerate its
-conductor over the whole fundamental parallelepiped.
+generator can move it.  Every entry runs in well under a second, except
+the ``analyze`` entries of the e = 4 ``SLOW`` system, which filter its
+whole fundamental parallelepiped by the skyline.
 """
 
 from __future__ import annotations
